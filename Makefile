@@ -1,23 +1,24 @@
 # Build, test and lint entry points. `make check` is the gate a PR must
 # pass: tier-1 build+test, lint (gofmt, go vet, and tmilint's static
 # annotation verification of the whole workload catalog), race-harness
-# (the sweep executor and the tmid service are where real host-level
-# concurrency lives, so their tests run under the race detector), mc
-# (tmimc's exhaustive model-checking of the litmus kernels, plus the
-# negative fixture that must diverge), suggest (tmilint's static repair
-# solver run on the broken fixtures, its repair sets applied by tmimc and
-# certified SC-equivalent and race-free), benchgate (fig9's table must stay
-# byte-identical to the committed golden), backends (cross-backend repair
-# parity plus the two-socket policy-table sweep), serve-smoke (a race-built
-# tmid server replayed at by concurrent tmiload clients, advice streams
-# asserted byte-identical to the offline detector) and cluster-smoke (a
-# race-built in-process cluster — tmirouter over migratable tmid nodes —
-# with one node killed and one added mid-run under a 16-client fleet:
-# zero lost sessions, advice byte-identical to the offline replay).
-# `make bench` persists one BENCH_<date>[.N].json
-# perf point per invocation so the trajectory across PRs stays
-# comparable; `make microbench` folds access-path microbenchmark stats
-# into the same point.
+# (the sweep executor, the tmid service and the machine's cross-goroutine
+# token handoff are where real host-level concurrency lives, so their
+# tests run under the race detector), mc (tmimc's exhaustive
+# model-checking of the litmus kernels, plus the negative fixture that
+# must diverge), suggest (tmilint's static repair solver run on the broken
+# fixtures, its repair sets applied by tmimc and certified SC-equivalent
+# and race-free), benchgate (every wall-clock-free paper table must stay
+# byte-identical to its committed golden), backends (cross-backend repair
+# parity plus the two-socket policy-table sweep), serve-smoke (a
+# race-built tmid server replayed at by concurrent tmiload clients, advice
+# streams asserted byte-identical to the offline detector) and
+# cluster-smoke (a race-built in-process cluster — tmirouter over
+# migratable tmid nodes — with one node killed and one added mid-run under
+# a 16-client fleet: zero lost sessions, advice byte-identical to the
+# offline replay). `make bench` persists one BENCH_<date>[.N].json perf
+# point per invocation so the trajectory across PRs stays comparable;
+# `make microbench` folds access-path microbenchmark stats into the same
+# point.
 
 GO ?= go
 
@@ -34,12 +35,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The sweep executor fans simulation cells across GOMAXPROCS workers and
-# the tmid service runs sharded detector goroutines under concurrent HTTP
-# streams; these are the subsystems with host-level concurrency, so they
+# The sweep executor fans simulation cells across GOMAXPROCS workers, the
+# tmid service runs sharded detector goroutines under concurrent HTTP
+# streams, and the machine's threads resume each other's coroutines across
+# goroutines; these are the subsystems with host-level concurrency, so they
 # get a dedicated race-detector lane in the check gate.
 race-harness:
-	$(GO) test -race ./internal/harness/... ./internal/service/... ./internal/cluster/...
+	$(GO) test -race ./internal/harness/... ./internal/service/... ./internal/cluster/... ./internal/sim/machine/...
 
 # bench regenerates the full evaluation with the parallel sweep executor
 # and appends a benchmark-trajectory point (wall-clock, cell counts,
@@ -48,23 +50,35 @@ bench:
 	$(GO) run ./cmd/tmibench -experiment all -runs 3 -bench-json auto
 
 # microbench runs the access-path microbenchmarks (single-access latency,
-# HITM transfer, step throughput, PTSB commit scan) and folds micro.* ns/op
-# and allocs/op stats into the day's newest BENCH_<date>[.N].json point.
+# HITM transfer, step throughput, bare token handoff, PTSB commit scan) and
+# folds micro.* ns/op and allocs/op stats into the day's newest
+# BENCH_<date>[.N].json point.
 microbench:
-	$(GO) test -run '^$$' -bench 'AccessLatencyL1|AccessHITMPath|StepThroughput|Commit.*Page' -benchmem \
+	$(GO) test -run '^$$' -bench 'AccessLatencyL1|AccessHITMPath|StepThroughput|Handoff|Commit.*Page' -benchmem \
 		./internal/sim/machine ./internal/ptsb | $(GO) run ./cmd/tmimicro
 
-# benchgate is the determinism gate: fig9's rendered table must be
-# byte-identical to the committed golden. Any change to scheduling,
-# coherence, sampling or repair ordering shows up here before it can
-# silently shift the paper's numbers.
+# benchgate is the determinism gate: the rendered output of every paper
+# experiment that reports no host wall-clock time must be byte-identical to
+# its golden in testdata/golden/. Any change to scheduling, coherence,
+# sampling or repair ordering shows up here before it can silently shift the
+# paper's numbers. ingest and cluster time the host and are left out.
+BENCHGATE_EXPERIMENTS = table1 table2 fig3 fig4 fig5 fig7 fig8 fig9 table3 \
+	fig10 fig11 fig12 ablation-everywhere leveldb-detect energy commit-cost \
+	prediction static-layout repair-backends
+
 benchgate:
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/tmibench -experiment fig9 -runs 1 > $$tmp || exit 1; \
-	if ! diff -u testdata/fig9_golden.txt $$tmp; then \
-		echo "benchgate: fig9 output diverged from testdata/fig9_golden.txt"; rm -f $$tmp; exit 1; \
-	fi; \
-	rm -f $$tmp; echo "benchgate: fig9 output matches golden"
+	@dir=$$(mktemp -d); rc=0; \
+	$(GO) build -o $$dir/tmibench ./cmd/tmibench || { rm -rf $$dir; exit 1; }; \
+	for e in $(BENCHGATE_EXPERIMENTS); do \
+		if ! $$dir/tmibench -experiment $$e -runs 1 > $$dir/$$e.txt; then \
+			echo "benchgate: $$e failed to run"; rc=1; \
+		elif ! diff -u testdata/golden/$$e.txt $$dir/$$e.txt; then \
+			echo "benchgate: $$e output diverged from testdata/golden/$$e.txt"; rc=1; \
+		fi; \
+	done; \
+	rm -rf $$dir; \
+	if [ $$rc -eq 0 ]; then echo "benchgate: $(words $(BENCHGATE_EXPERIMENTS)) experiments match their goldens"; fi; \
+	exit $$rc
 
 # backends is the repair-strategy gate: the cross-backend parity test (every
 # backend must engage exactly when t2p engages and collapse flagged-line

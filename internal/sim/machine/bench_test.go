@@ -86,3 +86,32 @@ func BenchmarkStepThroughputPrivate(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// benchHandoff measures the bare token transfer: n threads of pure compute
+// quanta just above schedSlack, so the token moves round-robin every other
+// instruction with no memory traffic in the way.
+func benchHandoff(b *testing.B, n int) {
+	mc, _ := benchMachine(n)
+	per := b.N/n + 1
+	body := func(th *Thread) {
+		for i := 0; i < per; i++ {
+			th.Work(schedSlack + 1)
+		}
+	}
+	bodies := make([]func(*Thread), n)
+	for i := range bodies {
+		bodies[i] = body
+	}
+	b.ResetTimer()
+	if err := mc.Run(bodies); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkHandoffPingPong: two threads, every transfer to a thread off the
+// resume chain (one coroutine switch).
+func BenchmarkHandoffPingPong(b *testing.B) { benchHandoff(b, 2) }
+
+// BenchmarkHandoffRoundRobin: four threads, so every fourth transfer
+// unwinds the chain back to its bottom.
+func BenchmarkHandoffRoundRobin(b *testing.B) { benchHandoff(b, 4) }

@@ -5,11 +5,15 @@
 // attaches to (fault handling, address-space selection, access sampling,
 // consistency-region callbacks).
 //
-// Each simulated thread runs as a goroutine, but only one thread executes at
+// Each simulated thread runs as a coroutine, but only one thread executes at
 // a time, always the runnable thread with the smallest local clock, so every
 // run is deterministic for a fixed seed: memory operations are globally
 // ordered by simulated time, which is what makes the coherence simulation
 // and the consistency experiments reproducible.
+//
+// The token moves by direct handoff from thread to thread (see Run), and
+// between transfers the running thread keeps it through an O(1) test
+// against one cached rival, the lowest-clock ready thread other than itself.
 package machine
 
 import (
@@ -221,14 +225,15 @@ type Thread struct {
 	state ThreadState
 	rng   *rand.Rand
 
-	// resume/stop/yieldTok are the coroutine handles (iter.Pull) the driver
-	// loop switches threads with. Coroutine switches transfer control
-	// directly between goroutines without a scheduler round trip, which is
-	// an order of magnitude cheaper than the channel park/unpark pair the
-	// token handoff used to cost.
+	// resume/stop/yieldTok are the coroutine handles (iter.Pull) the token
+	// moves with: a coroutine switch transfers control directly between
+	// goroutines, without a Go scheduler round trip. onChain marks a thread
+	// parked inside another thread's resume; it is reached by unwinding,
+	// never resumed.
 	resume   func() (struct{}, bool)
 	stop     func()
 	yieldTok func(struct{}) bool
+	onChain  bool
 
 	// User carries runtime-private per-thread state (CCC region nesting,
 	// PTSB dirty sets). The machine never inspects it.
@@ -265,6 +270,15 @@ type Machine struct {
 	aborted atomic.Bool
 
 	nextTimerID int
+
+	// Token handoff state, touched only by the running thread (or by the
+	// driver while no thread runs). holder is the thread last granted the
+	// token and rival its cached competitor: the lowest-(clock, ID) Ready
+	// thread other than holder, nil if none. target is where control goes
+	// next, nil meaning the driver. switches and transfers count coroutine
+	// switches and holder changes.
+	holder, rival, target *Thread
+	switches, transfers   uint64
 }
 
 type timer struct {
@@ -361,12 +375,19 @@ func (m *Machine) RemoveTimer(id int) {
 // count; extra cores stay idle). It blocks until all threads finish and
 // returns the first failure (panic in a body, deadlock) if any.
 //
-// Run is the scheduler's driver loop: every thread body runs as a coroutine
-// (iter.Pull), and the driver — the Run caller's goroutine — repeatedly
-// picks the next runnable thread, fires due timers, and switches to it.
-// Exactly one goroutine executes at any moment (the driver or the resumed
-// thread), so the whole simulation is sequential; coroutine switches
-// transfer control directly, never through the Go scheduler.
+// Every thread body runs as a coroutine (iter.Pull), and exactly one
+// goroutine executes at any moment, so the whole simulation is sequential.
+// The driver — the Run caller's goroutine — resumes the first thread. From
+// then on a thread that gives up the token calls decide and resumes the
+// chosen thread itself; iter.Pull allows next from any goroutine as long as
+// calls do not overlap. Resumed threads form a chain, driver → T1 → … → Tk,
+// each parked inside its successor's resume. A target off the chain is
+// resumed directly (one switch); a target on the chain, or the driver, is
+// reached by unwinding: each thread above it yields back down. Control
+// unwinds to the driver only when a timer is due, when a thread finishes or
+// no thread is runnable, or on abort, so the driver fires timers with every
+// thread quiescent and reports completion or deadlock. After an abort it
+// stops every coroutine; the chain is empty whenever the driver runs.
 func (m *Machine) Run(bodies []func(*Thread)) error {
 	if len(bodies) > len(m.threads) {
 		return fmt.Errorf("machine: %d bodies for %d cores", len(bodies), len(m.threads))
@@ -409,6 +430,7 @@ func (m *Machine) Run(bodies []func(*Thread)) error {
 				}()
 			}
 			t.state = Done
+			m.target = nil // unwind to the driver, which decides who runs next
 		})
 	}
 	// Guarantee coroutine cleanup on every exit path: stop() unwinds a
@@ -432,32 +454,36 @@ func (m *Machine) Run(bodies []func(*Thread)) error {
 				m.aborted.Store(true)
 			}
 		}()
-		var prev *Thread
 		for !m.aborted.Load() {
-			next := m.scheduleNext(prev)
-			if next == nil {
+			if m.target = m.decide(m.holder, true); m.target == nil {
 				break
 			}
-			prev = next
-			next.resume()
+			m.switches++
+			m.target.resume()
 		}
 	}()
 	return m.failure
 }
 
-// scheduleNext is the driver's scheduling point: it fires timers due before
-// the next thread would run, detects deadlock, and picks the thread to
-// resume — the min-clock thread, except that the previous holder keeps the
-// token while within schedSlack cycles of the true minimum (or whatever the
-// external Scheduler picks, with no slack batching). Returning nil ends the
-// run.
-func (m *Machine) scheduleNext(prev *Thread) *Thread {
+// decide is the scheduling rule, shared by the driver and the threads. prev
+// is the thread giving up the token (nil at the start). It returns the
+// thread to run next — the min-clock thread, except that prev keeps the
+// token while within schedSlack cycles of the true minimum, or whatever the
+// external Scheduler picks, with no slack batching — makes it the holder
+// and caches its rival. It returns nil when control must go to the driver:
+// a timer is due (only the driver, driver=true, fires it here and decides
+// again), every thread is done, the run deadlocked, or the Scheduler
+// abandoned it.
+func (m *Machine) decide(prev *Thread, driver bool) *Thread {
 	for {
-		next := m.minReady()
+		first, second := m.lowest(nil)
 		// Fire timers due before the next thread would run. Timers advance
 		// only with thread progress: once no thread is runnable, remaining
 		// timers never fire.
-		if len(m.timers) > 0 && next != nil && m.timers[0].at <= next.clock {
+		if first != nil && len(m.timers) > 0 && m.timers[0].at <= first.clock {
+			if !driver {
+				return nil
+			}
 			due := heap.Pop(&m.timers).(*timer)
 			due.fn(due.at)
 			if due.period > 0 {
@@ -466,7 +492,7 @@ func (m *Machine) scheduleNext(prev *Thread) *Thread {
 			}
 			continue // re-evaluate: the timer may have changed thread states
 		}
-		if next == nil {
+		if first == nil {
 			// Nothing runnable: either everyone is done, or deadlock.
 			for _, th := range m.threads {
 				if th.state == Blocked {
@@ -483,52 +509,97 @@ func (m *Machine) scheduleNext(prev *Thread) *Thread {
 			}
 			return nil
 		}
+		next, rival := first, second
 		if m.sched != nil {
-			picked := m.sched.Pick(m.readyThreads())
-			if picked == nil {
+			// Every yield is a scheduling point, so the rival is unused.
+			next, rival = m.sched.Pick(m.readyThreads()), nil
+			if next == nil {
 				if m.failure == nil {
 					m.failure = ErrScheduleAbandoned
 				}
 				m.aborted.Store(true)
 				return nil
 			}
-			return picked
+		} else if prev != nil && prev != first && prev.state == Ready && prev.clock <= first.clock+schedSlack {
+			// Slack: schedSlack is below every coherence latency, so only
+			// local L1 hits batch — cross-core event ordering is unaffected
+			// — while switches drop by an order of magnitude.
+			next, rival = prev, first
 		}
-		// Slack: the previous holder keeps the token while within schedSlack
-		// cycles of the true minimum. schedSlack is below every coherence
-		// latency, so only local L1 hits batch — cross-core event ordering
-		// is unaffected — while switches drop by an order of magnitude.
-		if prev != nil && prev != next && prev.state == Ready && prev.clock <= next.clock+schedSlack {
-			return prev
+		if next != m.holder {
+			m.transfers++
 		}
+		m.holder, m.rival = next, rival
 		return next
 	}
 }
 
-// yield is a thread-side scheduling point: hand the token back to the
-// driver unless the thread may keep running.
-//
-// The fast path: under the one-token discipline only the token holder
-// executes here, and every prior mutation of thread states, clocks and the
-// timer heap happened either on this goroutine or before a coroutine switch
-// (which is a happens-before edge). The thread keeps the token while it is
-// still minimal (within schedSlack) and no timer is due — no driver round
-// trip at all. With an external Scheduler there is no fast path: every
-// yield is a scheduling point.
+// yield is a thread-side scheduling point. Only the token holder executes
+// here, so the keep test reads the cached rival and the timer heap without
+// synchronization: every prior mutation happened on this goroutine or
+// before a coroutine switch (a happens-before edge). The thread keeps the
+// token while it is within schedSlack cycles of its rival and no timer is
+// due before the next thread would run. Otherwise it decides who runs next
+// and hands control over. With an external Scheduler there is no keep
+// test: every yield is a scheduling point.
 func (m *Machine) yield(t *Thread) {
-	if m.sched == nil && !m.aborted.Load() && t.state == Ready {
-		next := m.minReady()
-		if next != nil &&
-			(len(m.timers) == 0 || m.timers[0].at > next.clock) &&
-			(next == t || t.clock <= next.clock+schedSlack) {
-			return // keep the token: still minimal (within slack), no timer due
+	if m.sched == nil && t.state == Ready {
+		keep := m.keeps(t)
+		if keepProbe != nil {
+			keepProbe(t, keep)
+		}
+		if keep {
+			return
 		}
 	}
-	if !t.yieldTok(struct{}{}) {
-		// The driver stopped this coroutine: unwind to the Run wrapper.
-		panic(abortSentinel{})
+	m.target = m.decide(t, false)
+	m.follow(t)
+}
+
+// keepProbe, when set, observes every keep test; tests use it to check the
+// cached decision against the full scan.
+var keepProbe func(t *Thread, keep bool)
+
+// keeps is the O(1) keep test for the holder t.
+func (m *Machine) keeps(t *Thread) bool {
+	next := t.clock
+	if r := m.rival; r != nil {
+		if t.clock > r.clock+schedSlack {
+			return false
+		}
+		next = min(next, r.clock)
 	}
-	m.checkAbort()
+	return len(m.timers) == 0 || m.timers[0].at > next
+}
+
+// follow moves control toward m.target from t, the thread on top of the
+// chain, and returns once t is the target again.
+func (m *Machine) follow(t *Thread) {
+	for m.target != t {
+		if next := m.target; next != nil && !next.onChain {
+			// Off the chain: resume it directly. t stays parked inside the
+			// call until the chain unwinds back to it.
+			t.onChain = true
+			m.switches++
+			next.resume()
+			t.onChain = false
+			if m.aborted.Load() {
+				// A thread above failed or the run deadlocked: unwind by
+				// panicking out to this coroutine's wrapper. No thread is
+				// ever resumed into an aborted run, so this is the only
+				// abort check a thread needs.
+				panic(abortSentinel{})
+			}
+			continue
+		}
+		// The target is further down the chain, or is the driver: unwind
+		// one level. t is resumed again only as a target.
+		m.switches++
+		if !t.yieldTok(struct{}{}) {
+			// Run's cleanup stopped this coroutine: unwind to its wrapper.
+			panic(abortSentinel{})
+		}
+	}
 }
 
 // Elapsed reports the simulated run time: the maximum thread clock.
@@ -547,17 +618,25 @@ func (m *Machine) ElapsedSeconds() float64 {
 	return float64(m.Elapsed()) / float64(cache.ClockHz)
 }
 
-func (m *Machine) minReady() *Thread {
-	var best *Thread
+// lowest returns the two Ready threads with the smallest (clock, ID),
+// skipping skip.
+func (m *Machine) lowest(skip *Thread) (first, second *Thread) {
 	for _, t := range m.threads {
-		if t.state != Ready {
+		if t.state != Ready || t == skip {
 			continue
 		}
-		if best == nil || t.clock < best.clock || (t.clock == best.clock && t.ID < best.ID) {
-			best = t
+		if first == nil || before(t, first) {
+			first, second = t, first
+		} else if second == nil || before(t, second) {
+			second = t
 		}
 	}
-	return best
+	return first, second
+}
+
+// before orders threads for scheduling: lower clock first, then lower ID.
+func before(a, b *Thread) bool {
+	return a.clock < b.clock || (a.clock == b.clock && a.ID < b.ID)
 }
 
 // readyThreads returns the runnable threads in ID order.
@@ -569,15 +648,6 @@ func (m *Machine) readyThreads() []*Thread {
 		}
 	}
 	return out
-}
-
-// checkAbort panics out of a thread body when the machine has been aborted
-// (deadlock or external failure); the Run wrapper recovers it. Lock-free:
-// it runs after every instruction.
-func (m *Machine) checkAbort() {
-	if m.aborted.Load() {
-		panic(abortSentinel{})
-	}
 }
 
 type abortSentinel struct{}

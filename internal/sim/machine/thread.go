@@ -31,8 +31,15 @@ func (t *Thread) SetCore(core int) {
 func (t *Thread) Clock() int64 { return t.clock }
 
 // AddCost charges cycles to the thread without executing an instruction
-// (used by the runtime to model interruptions such as ptrace stops).
-func (t *Thread) AddCost(cycles int64) { t.clock += cycles }
+// (used by the runtime to model interruptions such as ptrace stops). A
+// charge to a thread other than the token holder (a stop-the-world charge)
+// re-derives the holder's rival.
+func (t *Thread) AddCost(cycles int64) {
+	t.clock += cycles
+	if m := t.m; t != m.holder {
+		m.rival, _ = m.lowest(m.holder)
+	}
+}
 
 // Rand returns the thread's deterministic random source.
 func (t *Thread) Rand() *rand.Rand { return t.rng }
@@ -49,7 +56,6 @@ func (t *Thread) endStep(lat int64) {
 	t.clock += lat
 	t.Stats.Instructions++
 	t.m.yield(t)
-	t.m.checkAbort()
 }
 
 // Work advances the thread's clock by cycles of pure computation (no memory
@@ -266,12 +272,10 @@ func (t *Thread) Block() {
 			t.clock = t.pendingWake
 		}
 		t.m.yield(t)
-		t.m.checkAbort()
 		return
 	}
 	t.state = Blocked
 	t.m.yield(t)
-	t.m.checkAbort()
 }
 
 // Unblock makes other runnable again, advancing its clock to at least the
@@ -294,6 +298,9 @@ func (t *Thread) Unblock(other *Thread, wakeCost int64) {
 		other.clock = w
 	}
 	other.state = Ready
+	if m := t.m; other != m.holder && (m.rival == nil || before(other, m.rival)) {
+		m.rival = other
+	}
 }
 
 // State reports the thread's scheduler state.

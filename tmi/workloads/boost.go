@@ -57,6 +57,7 @@ func (s *spinlockpool) Setup(env workload.Env) error {
 		stride = 64 // the manual fix pads each lock to its own line
 	}
 	base := env.Alloc(int(stride)*poolLocks, 64)
+	s.pool = s.pool[:0] // a re-run must not keep the previous run's handles
 	for i := 0; i < poolLocks; i++ {
 		s.pool = append(s.pool, env.NewMutexAt(fmt.Sprintf("spinlockpool.lock%d", i), base+uint64(i)*stride))
 	}

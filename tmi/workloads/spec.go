@@ -122,6 +122,7 @@ func (s *spec) Setup(env workload.Env) error {
 	if s.rwReadEvery > 0 || s.rwWriteEvery > 0 {
 		s.rw = env.NewRWMutex(s.name + ".index")
 	}
+	s.fine = s.fine[:0] // a re-run must not keep the previous run's handles
 	if s.fineLocks > 0 {
 		s.lockSlots = env.Alloc(s.fineLocks*64, 64)
 		for i := 0; i < s.fineLocks; i++ {
