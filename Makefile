@@ -7,8 +7,10 @@
 # model-checking of the litmus kernels, plus the negative fixture that
 # must diverge), suggest (tmilint's static repair solver run on the broken
 # fixtures, its repair sets applied by tmimc and certified SC-equivalent
-# and race-free), benchgate (every wall-clock-free paper table must stay
-# byte-identical to its committed golden), backends (cross-backend repair
+# and race-free), fuzz (the frame reader and the hello check, the only
+# doors samples enter tmid by, each fuzzed for 10 s), benchgate (every
+# wall-clock-free paper table must stay byte-identical to its committed
+# golden), backends (cross-backend repair
 # parity plus the two-socket policy-table sweep), serve-smoke (a
 # race-built tmid server replayed at by concurrent tmiload clients, advice
 # streams asserted byte-identical to the offline detector) and
@@ -22,7 +24,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-harness bench microbench benchgate backends serve-smoke cluster-smoke allocgate vet vet-src lint tmilint mc suggest fmt ci check
+.PHONY: all build test race race-harness bench microbench benchgate backends serve-smoke cluster-smoke allocgate fuzz vet vet-src lint tmilint mc suggest fmt ci check
 
 all: check
 
@@ -91,12 +93,11 @@ backends:
 	@echo "backends: parity test and sweep passed"
 
 # serve-smoke boots a race-built tmid on an ephemeral port and replays a
-# simulator-generated HITM trace at it from 8 concurrent clients (tmiload)
-# over BOTH wire encodings (-wire both: NDJSON lines, then binary columnar
-# frames), asserting every advice stream is byte-identical to the offline
-# detector and no session was dropped. Each mode also writes its verified
-# offline advice bytes, which are then diffed against each other so the two
-# encodings are provably comparing against the same truth. tmiload's exit
+# simulator-generated HITM trace at it twice with tmiload, from 8 and then
+# 2 concurrent clients, asserting every advice stream is byte-identical to
+# the offline detector and no session was dropped. Each run also writes its
+# verified offline advice bytes, which are then diffed against each other
+# so both fleets provably compare against the same truth. tmiload's exit
 # code is the verdict; the tmid log is printed on failure.
 serve-smoke:
 	@dir=$$(mktemp -d); \
@@ -105,10 +106,10 @@ serve-smoke:
 	$$dir/tmid -addr 127.0.0.1:0 -addr-file $$dir/addr > $$dir/tmid.log 2>&1 & pid=$$!; \
 	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
 	if [ ! -s $$dir/addr ]; then echo "serve-smoke: tmid never bound"; cat $$dir/tmid.log; kill $$pid 2>/dev/null; rm -rf $$dir; exit 1; fi; \
-	$$dir/tmiload -addr "$$(cat $$dir/addr)" -clients 8 -wire both -advice-out $$dir/advice.both; rc=$$?; \
+	$$dir/tmiload -addr "$$(cat $$dir/addr)" -clients 8 -advice-out $$dir/advice.8; rc=$$?; \
 	if [ $$rc -eq 0 ]; then \
-		$$dir/tmiload -addr "$$(cat $$dir/addr)" -clients 2 -wire binary -advice-out $$dir/advice.bin; rc=$$?; \
-		if [ $$rc -eq 0 ] && ! cmp -s $$dir/advice.both $$dir/advice.bin; then \
+		$$dir/tmiload -addr "$$(cat $$dir/addr)" -clients 2 -advice-out $$dir/advice.2; rc=$$?; \
+		if [ $$rc -eq 0 ] && ! cmp -s $$dir/advice.8 $$dir/advice.2; then \
 			echo "serve-smoke: offline advice bytes diverged between runs"; rc=1; \
 		fi; \
 	fi; \
@@ -136,6 +137,15 @@ cluster-smoke:
 # whole decode-convert-recycle ingest path must stay at 0 allocs/op.
 allocgate:
 	$(GO) test -run 'SteadyStateDoesNotAllocate' -count 1 ./internal/toolio ./internal/service
+
+# fuzz runs each wire-boundary fuzz target for 10 s: the binary frame
+# reader (every sample and tick tmid ingests) and the hello decode + check.
+# A crasher lands in internal/toolio/testdata/fuzz/ and is committed there
+# as a regression seed, so plain `go test` replays it from then on.
+fuzz:
+	@for f in FuzzBinReader FuzzHello; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -parallel 2 ./internal/toolio || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -191,4 +201,4 @@ lint: fmt vet
 
 ci: build test vet vet-src lint
 
-check: ci race-harness allocgate mc suggest benchgate backends serve-smoke cluster-smoke
+check: ci race-harness allocgate fuzz mc suggest benchgate backends serve-smoke cluster-smoke

@@ -204,46 +204,15 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// wireBatch builds one batch of representative sample quads for the wire
-// decode benchmarks.
-func wireBatch(n int) [][4]uint64 {
-	quads := make([][4]uint64, n)
-	for i := range quads {
-		quads[i] = [4]uint64{uint64(i % 8), 0x10000 + uint64(i%512)*8, 8, uint64(i % 2)}
-	}
-	return quads
-}
-
-// BenchmarkWireDecodeNDJSON measures tmid's NDJSON sample-line decode path
-// (parse + validation), the per-record cost the binary frames exist to
-// beat.
-func BenchmarkWireDecodeNDJSON(b *testing.B) {
-	const batch = 1024
-	line := toolio.EncodeWire(toolio.WireSamples{K: toolio.WireSamplesKind, S: wireBatch(batch)})
-	line = bytes.TrimRight(line, "\n")
-	b.SetBytes(int64(len(line)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg, err := toolio.DecodeWireMsg(line)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(msg.S) != batch {
-			b.Fatal("short batch")
-		}
-	}
-	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
 // BenchmarkWireDecodeBinary measures the binary columnar frame decode path
-// (header + column reads + branch-free validation) at the same batch size.
+// (header + column reads + branch-free validation) on a 1024-record batch.
 func BenchmarkWireDecodeBinary(b *testing.B) {
 	const batch = 1024
 	var enc bytes.Buffer
 	bw := toolio.NewBinWriter(&enc)
 	var cols toolio.SampleColumns
-	for _, q := range wireBatch(batch) {
-		cols.Append(uint32(q[0]), q[1], uint16(q[2]), q[3] == 1)
+	for i := 0; i < batch; i++ {
+		cols.Append(uint32(i%8), 0x10000+uint64(i%512)*8, 8, i%2 == 1)
 	}
 	if err := bw.WriteSamples(&cols); err != nil {
 		b.Fatal(err)

@@ -92,8 +92,8 @@ func main() {
 			fail(e.ID, err)
 		}
 		traj.Add(row)
-		// Experiment-reported metrics (e.g. the ingest experiment's wire
-		// throughputs) ride along in the trajectory's Stats bag.
+		// Experiment-reported metrics (e.g. the ingest experiment's
+		// records/s) ride along in the trajectory's Stats bag.
 		for k, v := range o.DrainStats() {
 			traj.Stats[k] = v
 		}

@@ -1,8 +1,9 @@
 // Command tmid runs the false sharing detection-and-repair-advice service:
-// a long-running HTTP server that ingests NDJSON streams of resolved HITM
-// samples from many tenants, shards each tenant onto a detector worker, and
-// streams back per-tick repair advice plus adaptive sampling-period
-// feedback (see internal/service and DESIGN §12).
+// a long-running HTTP server that ingests streams of resolved HITM samples
+// (an NDJSON hello, then binary frames) from many tenants, shards each
+// tenant onto a detector worker, and streams back per-tick NDJSON repair
+// advice plus adaptive sampling-period feedback (see internal/service and
+// DESIGN §12, §15).
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Command tmiload is the load generator and parity checker for tmid. It
 // runs a workload once under TMI's detection-only simulator with sample
 // capture on, which yields a replayable HITM trace; then K concurrent
-// clients stream that trace to a tmid server (each as its own tenant) and
-// every advice stream coming back is compared byte-for-byte against the
+// clients stream that trace to a tmid server (each as its own tenant, the
+// samples and ticks as binary frames) and every advice stream coming back is compared byte-for-byte against the
 // offline detector's advice over the same trace (service.Replay — the same
 // stream tmidetect -advice prints).
 //
@@ -10,7 +10,6 @@
 //
 //	tmiload -addr 127.0.0.1:7412                    # 8 clients, histogramfs
 //	tmiload -addr $A -clients 64 -min-records 100000
-//	tmiload -addr $A -wire both                     # NDJSON vs binary A/B
 //
 // Cluster chaos mode spins up an in-process cluster (router + N
 // migratable tmid nodes, every hop a real HTTP connection) and streams
@@ -82,9 +81,8 @@ func main() {
 		huge       = flag.Bool("hugepages", true, "back the trace-generating run with 2 MiB pages")
 		repeat     = flag.Int("repeat", 1, "times each client replays the trace (detector state carries across)")
 		minRecords = flag.Int("min-records", 0, "raise repeat until each client streams at least this many records")
-		batch      = flag.Int("batch", service.DefaultBatchRecords, "samples per wire line")
+		batch      = flag.Int("batch", service.DefaultBatchRecords, "samples per samples frame")
 		retries    = flag.Int("retries", 20, "attempts per client when the server answers busy (fresh tenant each time)")
-		wire       = flag.String("wire", "ndjson", "sample encoding: ndjson, binary, or both (A/B the same trace through each and report the speedup)")
 		adviceOut  = flag.String("advice-out", "", "write the parity-verified offline advice stream to this file (for external diffing)")
 		recommend  = flag.String("recommend", "", "repair-backend recommendation policy the target tmid was launched with (its -recommend flag); the offline truth carries the recommendation and its additivity over the policy-free advice is asserted")
 		clusterN   = flag.Int("cluster", 0, "run against an in-process cluster of N migratable tmid nodes behind a tmirouter instead of -addr")
@@ -97,26 +95,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tmiload: -kill-after/-add-after need -cluster")
 		os.Exit(2)
 	}
-	if *clusterN > 0 && *wire == "both" {
-		// Chaos events fire once; an A/B double run would aim them at only
-		// the first fleet. Pick one encoding per chaos run.
-		fmt.Fprintln(os.Stderr, "tmiload: -wire both and -cluster are mutually exclusive (chaos events fire once)")
-		os.Exit(2)
-	}
 
 	if !detect.ValidRecommendPolicy(*recommend) {
 		fmt.Fprintf(os.Stderr, "tmiload: unknown -recommend policy %q (want none, auto, t2p, pad, map, or tmebox)\n", *recommend)
-		os.Exit(2)
-	}
-
-	var modes []string
-	switch *wire {
-	case "ndjson", "binary":
-		modes = []string{*wire}
-	case "both":
-		modes = []string{"ndjson", "binary"}
-	default:
-		fmt.Fprintf(os.Stderr, "tmiload: unknown -wire %q (want ndjson, binary, or both)\n", *wire)
 		os.Exit(2)
 	}
 
@@ -205,15 +186,10 @@ func main() {
 		fmt.Printf("tmiload: cluster: %d nodes behind router (kill-after %s, add-after %s)\n", *clusterN, *killAfter, *addAfter)
 	}
 
-	// runMode drives the full client fleet once over one wire encoding and
-	// returns the aggregate. Every client's advice is still compared
-	// byte-for-byte against the offline replay, so in -wire both the two
-	// encodings are transitively byte-identical to each other.
-	runMode := func(mode string) (okN, mismatched, lost, records int, elapsed time.Duration) {
-		wireField := ""
-		if mode == "binary" {
-			wireField = toolio.WireFormatBinary
-		}
+	// runFleet drives the full client fleet once and returns the aggregate.
+	// Every client's advice is compared byte-for-byte against the offline
+	// replay.
+	runFleet := func() (okN, mismatched, lost, records int, elapsed time.Duration) {
 		type outcome struct {
 			tenant   string
 			attempts int
@@ -253,14 +229,13 @@ func main() {
 					// fed the server a partial window, and resuming that session
 					// would (correctly!) change its advice. The abandoned tenant
 					// ages out via the session TTL.
-					out.tenant = fmt.Sprintf("load-%s-%d-a%d", mode, c, attempt)
+					out.tenant = fmt.Sprintf("load-%d-a%d", c, attempt)
 					out.err = nil
 					cl := &service.Client{
 						BaseURL:      base,
 						Tenant:       out.tenant,
 						PageSize:     log.PageSize,
 						BatchRecords: *batch,
-						Wire:         wireField,
 					}
 					res, err := cl.Replay(log, *repeat)
 					if busy, ok := err.(*service.ErrBusy); ok {
@@ -313,21 +288,10 @@ func main() {
 		return okN, mismatched, lost, records, elapsed
 	}
 
-	failed := false
-	rates := map[string]float64{}
-	for _, mode := range modes {
-		ok, mismatched, lost, records, elapsed := runMode(mode)
-		rate := float64(records) / elapsed.Seconds()
-		rates[mode] = rate
-		fmt.Printf("tmiload: [%s] %d/%d clients parity-ok, %d mismatched, %d lost; %d records in %s (%.0f records/s)\n",
-			mode, ok, *clients, mismatched, lost, records, elapsed.Round(time.Millisecond), rate)
-		if mismatched > 0 || lost > 0 {
-			failed = true
-		}
-	}
-	if len(modes) == 2 && rates["ndjson"] > 0 {
-		fmt.Printf("tmiload: binary/ndjson ingest speedup: %.1fx\n", rates["binary"]/rates["ndjson"])
-	}
+	ok, mismatched, lost, records, elapsed := runFleet()
+	fmt.Printf("tmiload: %d/%d clients parity-ok, %d mismatched, %d lost; %d records in %s (%.0f records/s)\n",
+		ok, *clients, mismatched, lost, records, elapsed.Round(time.Millisecond), float64(records)/elapsed.Seconds())
+	failed := mismatched > 0 || lost > 0
 	if lc != nil {
 		ms := lc.Router.MigrationStats()
 		fmt.Printf("tmiload: cluster: ring gen %d; migrations ok=%d noop=%d failed=%d (%d records, p50 %.1fms p99 %.1fms)\n",

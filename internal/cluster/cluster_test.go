@@ -55,38 +55,33 @@ func newLocal(t *testing.T, n int, rcfg Config) *Local {
 }
 
 // TestClusterRelayParity: a client fleet streaming through the router gets
-// byte-identical advice in both wire encodings.
+// byte-identical advice.
 func TestClusterRelayParity(t *testing.T) {
 	log := syntheticLog()
 	want := offlineTruth(t, log, 2)
 	lc := newLocal(t, 2, Config{ProbeInterval: -1})
 
-	for _, wire := range []string{"", toolio.WireFormatBinary} {
-		var wg sync.WaitGroup
-		errs := make([]error, 6)
-		for c := 0; c < 6; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				cl := &service.Client{
-					BaseURL: lc.RouterURL, Tenant: fmt.Sprintf("par-%s-%d", wire, c),
-					PageSize: log.PageSize, Wire: wire,
-				}
-				res, err := cl.Replay(log, 2)
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				if !bytes.Equal(res.Advice, want) {
-					errs[c] = fmt.Errorf("advice diverged (%d vs %d bytes)", len(res.Advice), len(want))
-				}
-			}(c)
-		}
-		wg.Wait()
-		for c, err := range errs {
+	var wg sync.WaitGroup
+	errs := make([]error, 6)
+	for c := 0; c < 6; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := &service.Client{BaseURL: lc.RouterURL, Tenant: fmt.Sprintf("par-%d", c), PageSize: log.PageSize}
+			res, err := cl.Replay(log, 2)
 			if err != nil {
-				t.Errorf("wire %q client %d: %v", wire, c, err)
+				errs[c] = err
+				return
 			}
+			if !bytes.Equal(res.Advice, want) {
+				errs[c] = fmt.Errorf("advice diverged (%d vs %d bytes)", len(res.Advice), len(want))
+			}
+		}(c)
+	}
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Errorf("client %d: %v", c, err)
 		}
 	}
 	if open := lc.Router.metrics.streamsOpen.Load(); open != 0 {
@@ -119,7 +114,7 @@ func openStream(t *testing.T, base, tenant string, pageSize int) *streamConn {
 		resp, err := http.DefaultClient.Do(req)
 		ch <- doRes{resp, err}
 	}()
-	hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: tenant, PageSize: pageSize}
+	hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: tenant, PageSize: pageSize, Wire: toolio.WireFormatBinary}
 	go pw.Write(toolio.EncodeWire(hello))
 	res := <-ch
 	if res.err != nil {
@@ -135,20 +130,13 @@ func openStream(t *testing.T, base, tenant string, pageSize int) *streamConn {
 // line (advice or error) including its newline.
 func (sc *streamConn) sendWindow(t *testing.T, log *trace.SampleLog, i int) []byte {
 	t.Helper()
-	samples := log.WindowSamples(i)
-	msg := toolio.WireSamples{K: toolio.WireSamplesKind, S: make([][4]uint64, len(samples))}
-	for j, sm := range samples {
-		wr := uint64(0)
-		if sm.Write {
-			wr = 1
-		}
-		msg.S[j] = [4]uint64{uint64(sm.TID), sm.Addr, uint64(sm.Width), wr}
+	var cols toolio.SampleColumns
+	for _, sm := range log.WindowSamples(i) {
+		cols.Append(uint32(sm.TID), sm.Addr, uint16(sm.Width), sm.Write)
 	}
-	var buf bytes.Buffer
-	buf.Write(toolio.EncodeWire(msg))
 	w := log.Windows[i]
-	buf.Write(toolio.EncodeWire(toolio.WireTick{K: toolio.WireTickKind, Seq: i, IntervalSec: w.IntervalSec, Period: w.Period}))
-	if _, err := sc.pw.Write(buf.Bytes()); err != nil {
+	buf := windowFrames(t, &cols, toolio.WireTick{K: toolio.WireTickKind, Seq: i, IntervalSec: w.IntervalSec, Period: w.Period})
+	if _, err := sc.pw.Write(buf); err != nil {
 		t.Fatalf("window %d write: %v", i, err)
 	}
 	line, err := sc.br.ReadBytes('\n')
@@ -156,6 +144,20 @@ func (sc *streamConn) sendWindow(t *testing.T, log *trace.SampleLog, i int) []by
 		t.Fatalf("window %d reply: %v", i, err)
 	}
 	return line
+}
+
+// windowFrames encodes one samples frame and one tick frame.
+func windowFrames(t *testing.T, cols *toolio.SampleColumns, tick toolio.WireTick) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := toolio.NewBinWriter(&buf)
+	if err := bw.WriteSamples(cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.WriteTick(tick); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func (sc *streamConn) close() {
@@ -250,11 +252,10 @@ func TestKillMidStreamIsRetryable(t *testing.T) {
 	// The next round trip must come back as a retryable wire error — the
 	// relay may need one write to observe the severed leg, so allow the
 	// reply to take a moment but never be wrong.
-	samples := toolio.WireSamples{K: toolio.WireSamplesKind, S: [][4]uint64{{0, 0x10000, 8, 1}}}
-	if _, err := sc.pw.Write(toolio.EncodeWire(samples)); err == nil {
-		w := log.Windows[1]
-		sc.pw.Write(toolio.EncodeWire(toolio.WireTick{K: toolio.WireTickKind, Seq: 1, IntervalSec: w.IntervalSec, Period: w.Period}))
-	}
+	var cols toolio.SampleColumns
+	cols.Append(0, 0x10000, 8, true)
+	w := log.Windows[1]
+	sc.pw.Write(windowFrames(t, &cols, toolio.WireTick{K: toolio.WireTickKind, Seq: 1, IntervalSec: w.IntervalSec, Period: w.Period}))
 	line, err := sc.br.ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("expected a wire error line, got transport error %v", err)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,8 +39,17 @@ type routerMetrics struct {
 	nodesRecovered atomic.Uint64
 
 	mu        sync.Mutex
-	migrateMS histogram // migration latency, milliseconds
+	migrateMS histogram // every migration attempt's latency, milliseconds
+	// okMS holds the latencies of the most recent successful migrations
+	// (at most migrationWindow, overwritten oldest-first from okNext), the
+	// sample MigrationStats computes exact quantiles over.
+	okMS   []float64
+	okNext int
 }
+
+// migrationWindow bounds the successful-migration latencies kept for
+// MigrationStats, so a long-lived router holds a fixed amount of memory.
+const migrationWindow = 1024
 
 // histogram is a fixed-bucket histogram (same shape the service uses).
 type histogram struct {
@@ -62,28 +73,15 @@ func (h *histogram) observe(v float64) {
 	h.count++
 }
 
-// quantile returns the q-quantile upper bound from the bucket counts (the
-// harness reads p50/p99 off this; bucket resolution is plenty for a
-// latency budget assertion).
-func (h *histogram) quantile(q float64) float64 {
-	if h.count == 0 {
+// quantile returns the nearest-rank q-quantile of ascending values (0 for
+// none): the smallest value with at least a q share of values at or
+// below it.
+func quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.bounds[len(h.bounds)-1] * 2 // +Inf bucket: report beyond the last bound
-		}
-	}
-	return h.bounds[len(h.bounds)-1] * 2
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
 }
 
 // migrationDone records one migration attempt's outcome and latency.
@@ -97,8 +95,17 @@ func (m *routerMetrics) migrationDone(result string, records int, d time.Duratio
 	default:
 		m.migrationsFailed.Add(1)
 	}
+	ms := float64(d) / float64(time.Millisecond)
 	m.mu.Lock()
-	m.migrateMS.observe(float64(d) / float64(time.Millisecond))
+	m.migrateMS.observe(ms)
+	if result == "ok" {
+		if len(m.okMS) < migrationWindow {
+			m.okMS = append(m.okMS, ms)
+		} else {
+			m.okMS[m.okNext] = ms
+			m.okNext = (m.okNext + 1) % migrationWindow
+		}
+	}
 	m.mu.Unlock()
 }
 
@@ -107,7 +114,10 @@ func (m *routerMetrics) migrationDone(result string, records int, d time.Duratio
 type MigrationStats struct {
 	OK, Noop, Failed uint64
 	Records          uint64
-	P50ms, P99ms     float64
+	// P50ms and P99ms are exact nearest-rank quantiles of the latencies of
+	// the last migrationWindow successful migrations; noop and failed
+	// attempts are left out.
+	P50ms, P99ms float64
 	// TotalMS is the summed wall time of all observed migrations, so
 	// Records/(TotalMS/1000) is the cluster's rebalance throughput.
 	TotalMS float64
@@ -117,9 +127,11 @@ type MigrationStats struct {
 func (rt *Router) MigrationStats() MigrationStats {
 	m := rt.metrics
 	m.mu.Lock()
-	p50, p99 := m.migrateMS.quantile(0.50), m.migrateMS.quantile(0.99)
+	ok := slices.Clone(m.okMS)
 	sum := m.migrateMS.sum
 	m.mu.Unlock()
+	slices.Sort(ok)
+	p50, p99 := quantile(ok, 0.50), quantile(ok, 0.99)
 	return MigrationStats{
 		OK: m.migrationsOK.Load(), Noop: m.migrationsNoop.Load(), Failed: m.migrationsFailed.Load(),
 		Records: m.migratedRecords.Load(), P50ms: p50, P99ms: p99, TotalMS: sum,
@@ -153,7 +165,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	counter("tmirouter_streams_total", "Client streams admitted and relayed.", m.streamsTotal.Load())
 	gauge("tmirouter_streams_open", "Client streams currently relayed.", float64(m.streamsOpen.Load()))
-	counter("tmirouter_streams_failed_total", "Streams ended with a router-injected retryable error.", m.streamsFailed.Load())
+	counter("tmirouter_streams_failed_total", "Streams ended with a router-injected wire error.", m.streamsFailed.Load())
 	counter("tmirouter_messages_relayed_total", "Wire messages forwarded to owning nodes.", m.messagesRelayed.Load())
 	counter("tmirouter_ticks_relayed_total", "Tick/advice round trips relayed.", m.ticksRelayed.Load())
 	fmt.Fprintf(w, "# HELP tmirouter_migrations_total Session migrations by outcome.\n# TYPE tmirouter_migrations_total counter\n")

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,10 +14,10 @@ import (
 
 // This file is the stream relay: the router speaks just enough of the wire
 // protocol to route and cut over streams, and not one byte more. It learns
-// the tenant from the hello, forwards sample/tick messages as raw bytes in
-// either encoding (it never decodes a sample column or re-renders an
-// advice line — parity stays the node's property), and uses the protocol's
-// own request/reply rhythm as its migration barrier:
+// the tenant from the hello, forwards sample/tick frames as raw bytes (it
+// checks each frame header but never decodes a sample column or re-renders
+// an advice line — parity stays the node's property), and uses the
+// protocol's own request/reply rhythm as its migration barrier:
 //
 //   - after a tick's advice has come back, every sample the relay ever
 //     forwarded has been fully ingested by the owning node (the advice
@@ -34,94 +33,11 @@ import (
 // answers the client with a retryable wire error and the client restarts
 // the stream from scratch (fresh tenant) against whatever the ring now
 // says — the cluster loses availability for one round trip, never
-// correctness.
-
-const maxWireLine = toolio.MaxWireLine
+// correctness. A malformed client body is the client's fault, not the
+// cluster's: it gets the same non-retryable error a node would send.
 
 // retryMsDefault is the backoff the relay suggests on retryable failures.
 const retryMsDefault = 1000
-
-// clientMsgReader frames the client's request body without interpreting
-// it: NDJSON mode yields whole lines (newline included), binary mode
-// yields whole frames (header included), both tagged with the message
-// kind so the relay knows when to await an advice reply.
-type clientMsgReader struct {
-	br     *bufio.Reader
-	binary bool
-	max    int
-	buf    []byte
-}
-
-// next returns the next raw message. The returned slice is reused by the
-// following call.
-func (cr *clientMsgReader) next() (kind byte, raw []byte, err error) {
-	if cr.binary {
-		return cr.nextFrame()
-	}
-	line, err := readRawLine(cr.br, cr.buf[:0], cr.max)
-	if err != nil {
-		return 0, nil, err
-	}
-	cr.buf = line
-	return peekWireKind(line), line, nil
-}
-
-func (cr *clientMsgReader) nextFrame() (byte, []byte, error) {
-	if cap(cr.buf) < 8 {
-		cr.buf = make([]byte, 0, 64<<10)
-	}
-	hdr := cr.buf[:8]
-	if _, err := io.ReadFull(cr.br, hdr); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("truncated frame header: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if n > cr.max {
-		return 0, nil, fmt.Errorf("frame payload %d exceeds cap %d", n, cr.max)
-	}
-	if cap(cr.buf) < 8+n {
-		nb := make([]byte, 8+n)
-		copy(nb, hdr)
-		cr.buf = nb
-	}
-	raw := cr.buf[:8+n]
-	if _, err := io.ReadFull(cr.br, raw[8:]); err != nil {
-		return 0, nil, fmt.Errorf("truncated frame payload: %w", err)
-	}
-	// hdr[3] is the frame kind byte; magic/version stay the node's problem
-	// (it rejects malformed frames with a wire error the relay forwards).
-	return raw[3], raw, nil
-}
-
-// readRawLine reads one newline-terminated line including its terminator
-// (appending one at a final unterminated EOF line), reusing buf.
-func readRawLine(br *bufio.Reader, buf []byte, maxLen int) ([]byte, error) {
-	if maxLen <= 0 {
-		maxLen = maxWireLine
-	}
-	for {
-		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if len(buf) > maxLen {
-			return nil, fmt.Errorf("wire line exceeds %d bytes", maxLen)
-		}
-		switch {
-		case err == nil:
-			return buf, nil
-		case err == bufio.ErrBufferFull:
-			continue
-		case err == io.EOF:
-			if len(buf) == 0 {
-				return nil, io.EOF
-			}
-			return append(buf, '\n'), nil
-		default:
-			return nil, err
-		}
-	}
-}
 
 // peekWireKind extracts the "k" discriminator from an NDJSON wire line.
 // Every encoder in this codebase emits K first ({"k":"x",...}), so the
@@ -273,12 +189,12 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		io.Copy(io.Discard, br)
 	}
-	helloRaw, err := readRawLine(br, nil, rt.cfg.MaxFrameBytes)
+	helloRaw, err := toolio.ReadLine(br, nil, rt.cfg.MaxFrameBytes)
 	if err != nil {
 		http.Error(w, "tmirouter: empty stream (expected hello)", http.StatusBadRequest)
 		return
 	}
-	hello, err := toolio.DecodeWireMsg(bytes.TrimRight(helloRaw, "\n"))
+	hello, err := toolio.DecodeWireMsg(helloRaw)
 	if err != nil {
 		bail("tmirouter: first line must be a hello", http.StatusBadRequest)
 		return
@@ -329,24 +245,28 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	failStream := func(msg string) {
+	failStream := func(msg string, retryMs int) {
 		rt.metrics.streamsFailed.Add(1)
-		w.Write(toolio.EncodeWire(toolio.WireError{K: toolio.WireErrorKind, Error: msg, RetryMs: retryMsDefault}))
+		w.Write(toolio.EncodeWire(toolio.WireError{K: toolio.WireErrorKind, Error: msg, RetryMs: retryMs}))
 		flush()
 		io.Copy(io.Discard, br) // see bail: never return with unread body
 	}
 
-	cr := &clientMsgReader{br: br, binary: hello.Wire == toolio.WireFormatBinary, max: rt.cfg.MaxFrameBytes}
+	// The frame check is the one a node's decoder starts with, and its
+	// error text is the node's, so a malformed body reads the same with or
+	// without the router in front.
+	rd := toolio.NewBinReader(br)
+	rd.MaxPayload = rt.cfg.MaxFrameBytes
 	clean := true
 	var advBuf []byte
 	for {
-		kind, raw, err := cr.next()
+		kind, raw, err := rd.ReadRawFrame()
 		if err == io.EOF {
 			rt.closeLeg(l)
 			return
 		}
 		if err != nil {
-			failStream("tmirouter: " + err.Error())
+			failStream(err.Error(), 0)
 			rt.closeLeg(l)
 			return
 		}
@@ -358,7 +278,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 				genSeen = g
 				newOwner, ok := rt.pickOwner(tenant)
 				if !ok {
-					failStream("tmirouter: no live nodes")
+					failStream("tmirouter: no live nodes", retryMsDefault)
 					rt.closeLeg(l)
 					return
 				}
@@ -372,7 +292,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		if _, err := l.pw.Write(raw); err != nil {
 			rt.reportNodeFailure(l.node)
-			failStream("tmirouter: owning node lost mid-stream; restart the stream")
+			failStream("tmirouter: owning node lost mid-stream; restart the stream", retryMsDefault)
 			rt.closeLeg(l)
 			return
 		}
@@ -381,10 +301,10 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 		case toolio.WireSamplesKind[0]:
 			clean = false
 		case toolio.WireTickKind[0]:
-			advRaw, err := readRawLine(l.br, advBuf[:0], rt.cfg.MaxFrameBytes)
+			advRaw, err := toolio.ReadLine(l.br, advBuf, rt.cfg.MaxFrameBytes)
 			if err != nil {
 				rt.reportNodeFailure(l.node)
-				failStream("tmirouter: owning node lost awaiting advice; restart the stream")
+				failStream("tmirouter: owning node lost awaiting advice; restart the stream", retryMsDefault)
 				rt.closeLeg(l)
 				return
 			}
@@ -409,7 +329,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 // session stays resident), migrate the session to the new owner, reopen
 // there. Failure paths answer the client with a retryable error and false;
 // the client restarts the stream and the ring places it freshly.
-func (rt *Router) switchLeg(old *leg, tenant string, helloRaw []byte, newOwner string, failStream func(string)) (*leg, bool) {
+func (rt *Router) switchLeg(old *leg, tenant string, helloRaw []byte, newOwner string, failStream func(string, int)) (*leg, bool) {
 	src := old.node
 	srcAlive := rt.nodeAlive(src)
 	rt.closeLeg(old)
@@ -417,11 +337,11 @@ func (rt *Router) switchLeg(old *leg, tenant string, helloRaw []byte, newOwner s
 		// The source died: its session state is unrecoverable, and resuming
 		// against a fresh session would silently change the advice stream.
 		// Fail loud and retryable instead.
-		failStream("tmirouter: owning node lost; restart the stream")
+		failStream("tmirouter: owning node lost; restart the stream", retryMsDefault)
 		return nil, false
 	}
 	if _, err := rt.MigrateTenant(src, newOwner, tenant); err != nil {
-		failStream("tmirouter: migration failed: " + err.Error())
+		failStream("tmirouter: migration failed: "+err.Error(), retryMsDefault)
 		return nil, false
 	}
 	l, refusal, err := rt.openLeg(newOwner, helloRaw)
@@ -430,7 +350,7 @@ func (rt *Router) switchLeg(old *leg, tenant string, helloRaw []byte, newOwner s
 			refusal.Body.Close()
 		}
 		rt.reportNodeFailure(newOwner)
-		failStream("tmirouter: new owner refused stream: " + err.Error())
+		failStream("tmirouter: new owner refused stream: "+err.Error(), retryMsDefault)
 		return nil, false
 	}
 	return l, true

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/toolio"
 )
 
 // Config tunes a Router. The zero value is usable apart from Nodes.
@@ -57,7 +58,7 @@ func (c Config) withDefaults() Config {
 		c.FailAfter = 3
 	}
 	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = maxWireLine
+		c.MaxFrameBytes = toolio.MaxWireLine
 	}
 	if c.MigrateTimeout <= 0 {
 		c.MigrateTimeout = 30 * time.Second

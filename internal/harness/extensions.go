@@ -17,7 +17,7 @@ func init() {
 		{"commit-cost", "§4.4: PTSB commit cost under 4 KiB vs 2 MiB pages", commitCost},
 		{"prediction", "Extension: Cheetah-style speedup prediction vs measured manual fix", predictionExp},
 		{"static-layout", "Extension: tmilint static layout predictor vs dynamic detector", staticLayout},
-		{"ingest", "Extension: tmid ingest throughput, NDJSON vs binary wire frames", ingestExp},
+		{"ingest", "Extension: tmid ingest throughput, binary wire frames", ingestExp},
 		{"repair-backends", "Extension: repair-backend sweep (t2p/pad/map/tmebox) on the two-socket NUMA model", backendsExp},
 		{"cluster", "Extension: tmid cluster — live session migration latency and rebalance throughput", clusterExp},
 	}

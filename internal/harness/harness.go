@@ -50,7 +50,7 @@ type Options struct {
 
 // Stat records an invocation-wide named metric (Report.Stats naming
 // convention). Experiments use it for numbers the executor telemetry cannot
-// see — e.g. the ingest experiment's wire-encoding throughputs — and
+// see — e.g. the ingest experiment's records/s — and
 // tmibench folds whatever accumulated into the persisted trajectory's Stats
 // bag via DrainStats.
 func (o *Options) Stat(name string, value float64) {

@@ -10,26 +10,23 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/service"
-	"repro/internal/toolio"
 	"repro/tmi"
 	"repro/tmi/workloads"
 )
 
-// ingestExp measures tmid's wire-encoding ingest throughput: one captured
-// HITM trace streamed by a fleet of concurrent clients over the NDJSON
-// encoding and again over the binary columnar frames, against an in-process
-// server. Every client's advice is still checked byte-for-byte against the
-// offline detector, so the A/B only counts runs that preserved parity. The
-// per-encoding records/s and the speedup land in the benchmark trajectory
-// via Options.Stat.
+// ingestExp measures tmid's ingest throughput: one captured HITM trace
+// streamed as binary frames by a fleet of concurrent clients against an
+// in-process server. Every client's advice is checked byte-for-byte against
+// the offline detector, so only runs that preserved parity count. The
+// records/s lands in the benchmark trajectory via Options.Stat.
 func ingestExp(o *Options) error {
-	header(o, "Extension: tmid ingest throughput, NDJSON vs binary frames")
+	header(o, "Extension: tmid ingest throughput, binary frames")
 	csv, err := csvFile(o, "ingest.csv")
 	if err != nil {
 		return err
 	}
 	defer csv.Close()
-	csvLine(csv, "encoding", "clients", "records", "seconds", "records_per_sec")
+	csvLine(csv, "clients", "records", "seconds", "records_per_sec")
 
 	w, err := workloads.ByName("histogramfs")
 	if err != nil {
@@ -80,57 +77,46 @@ func ingestExp(o *Options) error {
 	base := "http://" + ln.Addr().String()
 
 	fmt.Fprintf(o.Out, "trace: %d records x%d replay, %d clients\n\n", log.Len(), repeat, clients)
-	fmt.Fprintf(o.Out, "%-10s %12s %10s %16s\n", "encoding", "records", "seconds", "records/s")
+	fmt.Fprintf(o.Out, "%12s %10s %16s\n", "records", "seconds", "records/s")
 
-	rates := map[string]float64{}
-	for _, mode := range []string{"ndjson", "binary"} {
-		wire := ""
-		if mode == "binary" {
-			wire = toolio.WireFormatBinary
-		}
-		var (
-			wg      sync.WaitGroup
-			mu      sync.Mutex
-			records int
-			runErr  error
-		)
-		start := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				cl := &service.Client{
-					BaseURL:  base,
-					Tenant:   fmt.Sprintf("ingest-%s-%d", mode, c),
-					PageSize: log.PageSize,
-					Wire:     wire,
-				}
-				res, err := cl.Replay(log, repeat)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case err != nil && runErr == nil:
-					runErr = err
-				case err == nil && !bytes.Equal(res.Advice, want) && runErr == nil:
-					runErr = fmt.Errorf("%s client %d: advice diverged from offline replay", mode, c)
-				case err == nil:
-					records += res.Records
-				}
-			}(c)
-		}
-		wg.Wait()
-		if runErr != nil {
-			return runErr
-		}
-		elapsed := time.Since(start).Seconds()
-		rate := float64(records) / elapsed
-		rates[mode] = rate
-		fmt.Fprintf(o.Out, "%-10s %12d %10.3f %16.0f\n", mode, records, elapsed, rate)
-		csvLine(csv, mode, clients, records, elapsed, rate)
-		o.Stat("ingest_records_per_sec_"+mode, rate)
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		records int
+		runErr  error
+	)
+	start := time.Now()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := &service.Client{
+				BaseURL:  base,
+				Tenant:   fmt.Sprintf("ingest-%d", c),
+				PageSize: log.PageSize,
+			}
+			res, err := cl.Replay(log, repeat)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err != nil && runErr == nil:
+				runErr = err
+			case err == nil && !bytes.Equal(res.Advice, want) && runErr == nil:
+				runErr = fmt.Errorf("client %d: advice diverged from offline replay", c)
+			case err == nil:
+				records += res.Records
+			}
+		}(c)
 	}
-	speedup := rates["binary"] / rates["ndjson"]
-	o.Stat("ingest_binary_speedup", speedup)
-	fmt.Fprintf(o.Out, "\nbinary/ndjson ingest speedup: %.1fx (all advice parity-checked)\n", speedup)
+	wg.Wait()
+	if runErr != nil {
+		return runErr
+	}
+	elapsed := time.Since(start).Seconds()
+	rate := float64(records) / elapsed
+	fmt.Fprintf(o.Out, "%12d %10.3f %16.0f\n", records, elapsed, rate)
+	fmt.Fprintf(o.Out, "\nall advice parity-checked against the offline detector\n")
+	csvLine(csv, clients, records, elapsed, rate)
+	o.Stat("ingest_records_per_sec", rate)
 	return nil
 }

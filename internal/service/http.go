@@ -16,10 +16,6 @@ import (
 	"repro/internal/toolio"
 )
 
-// maxWireLine bounds one NDJSON wire line on the client's response reader;
-// the server side uses Config.MaxFrameBytes (same default).
-const maxWireLine = toolio.MaxWireLine
-
 // recycleDepth is the capacity of a stream's sample-buffer free list. The
 // reader owns one buffer while decoding and the shard queue holds at most
 // a few of this stream's batches at once, so a small pool is enough to
@@ -72,22 +68,12 @@ func (st *stream) convert(cols *toolio.SampleColumns) []detect.Sample {
 	return samples
 }
 
-// convertQuads is convert's NDJSON twin: quads were range-checked by
-// DecodeWireMsg, and the buffer comes from the same recycle pool.
-func (st *stream) convertQuads(quads [][4]uint64) []detect.Sample {
-	samples := st.buffer(len(quads))
-	for i, q := range quads {
-		samples[i] = detect.Sample{TID: int(q[0]), Addr: q[1], Width: int(q[2]), Write: q[3] != 0}
-	}
-	return samples
-}
-
-// handleStream serves POST /v1/stream: an NDJSON hello negotiating the
-// sample encoding, then sample/tick rounds in that encoding, with one
-// NDJSON advice line flushed back per tick. Admission is checked against
-// the tenant's shard before any work is queued: a saturated shard answers
-// 429 with Retry-After, which keeps the service's memory bounded by
-// (shards × queue depth × batch size) no matter how many clients push.
+// handleStream serves POST /v1/stream: an NDJSON hello, then sample/tick
+// rounds as binary frames, with one NDJSON advice line flushed back per
+// tick. Admission is checked against the tenant's shard before any work
+// is queued: a saturated shard answers 429 with Retry-After, which keeps
+// the service's memory bounded by (shards × queue depth × batch size) no
+// matter how many clients push.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	br := bufio.NewReaderSize(r.Body, 256<<10)
 	// Returning with unread request body arms net/http's post-handler
@@ -108,7 +94,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	line, err := readWireLine(br, nil, s.cfg.MaxFrameBytes)
+	line, err := toolio.ReadLine(br, nil, s.cfg.MaxFrameBytes)
 	if err != nil {
 		http.Error(w, "tmid: empty stream (expected hello)", http.StatusBadRequest)
 		return
@@ -126,7 +112,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if pageSize == 0 {
 		pageSize = 4096
 	}
-	binary := hello.Wire == toolio.WireFormatBinary
 
 	sh := s.shardFor(hello.Tenant)
 	if sh.saturated() {
@@ -137,11 +122,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.metrics.streamsTotal.Add(1)
-	if binary {
-		s.metrics.streamsBinary.Add(1)
-	} else {
-		s.metrics.streamsNDJSON.Add(1)
-	}
 	s.metrics.streamsOpen.Add(1)
 	defer s.metrics.streamsOpen.Add(-1)
 
@@ -176,54 +156,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		free:     make(chan []detect.Sample, recycleDepth),
 		reply:    make(chan toolio.WireAdvice, 1),
 	}
-	if binary {
-		s.runBinaryStream(w, br, st, fail, flush)
-	} else {
-		s.runNDJSONStream(w, br, st, fail, flush, line[:0])
-	}
+	s.runBinaryStream(w, br, st, fail, flush)
 	// EOF ends the stream but not the session: the tenant may reconnect and
 	// continue until the TTL evicts it. A mid-stream abort (fail already
 	// flushed the wire error) still drains to EOF — see bail above.
 	io.Copy(io.Discard, br)
-}
-
-// runNDJSONStream consumes NDJSON sample/tick lines. lineBuf seeds the
-// reusable line buffer (the hello's backing array).
-func (s *Server) runNDJSONStream(w http.ResponseWriter, br *bufio.Reader, st *stream, fail func(toolio.WireError), flush func(), lineBuf []byte) {
-	for {
-		line, err := readWireLine(br, lineBuf, s.cfg.MaxFrameBytes)
-		if err != nil {
-			if err != errStreamEnd {
-				fail(toolio.WireError{Error: err.Error()})
-			}
-			return
-		}
-		lineBuf = line[:0]
-		msg, err := toolio.DecodeWireMsg(line)
-		if err != nil {
-			fail(toolio.WireError{Error: err.Error()})
-			return
-		}
-		switch msg.K {
-		case toolio.WireSamplesKind:
-			if len(msg.S) == 0 {
-				continue
-			}
-			samples := st.convertQuads(msg.S)
-			s.metrics.wireRecordsNDJSON.Add(uint64(len(samples)))
-			if !s.enqueueSamples(st, samples, fail) {
-				return
-			}
-		case toolio.WireTickKind:
-			tick := toolio.WireTick{K: msg.K, Seq: msg.Seq, IntervalSec: msg.IntervalSec, Period: msg.Period}
-			if !s.handleTick(w, st, tick, fail, flush) {
-				return
-			}
-		default:
-			fail(toolio.WireError{Error: fmt.Sprintf("unexpected message kind %q", msg.K)})
-			return
-		}
-	}
 }
 
 // runBinaryStream consumes length-prefixed columnar batch frames. The
@@ -249,7 +186,6 @@ func (s *Server) runBinaryStream(w http.ResponseWriter, br *bufio.Reader, st *st
 				continue
 			}
 			samples := st.convert(fr.Samples)
-			s.metrics.wireRecordsBinary.Add(uint64(len(samples)))
 			if !s.enqueueSamples(st, samples, fail) {
 				return
 			}
@@ -292,41 +228,6 @@ func (s *Server) handleTick(w http.ResponseWriter, st *stream, tick toolio.WireT
 	w.Write(toolio.EncodeWire(adv))
 	flush()
 	return true
-}
-
-// errStreamEnd reports a clean end of input to readWireLine callers.
-var errStreamEnd = fmt.Errorf("service: stream ended")
-
-// readWireLine reads one newline-terminated wire line into buf (reused
-// across calls), enforcing the line cap. A clean EOF before any byte
-// returns errStreamEnd.
-func readWireLine(br *bufio.Reader, buf []byte, maxLen int) ([]byte, error) {
-	if maxLen <= 0 {
-		maxLen = toolio.MaxWireLine
-	}
-	buf = buf[:0]
-	for {
-		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if len(buf) > maxLen {
-			return nil, fmt.Errorf("service: wire line exceeds %d bytes", maxLen)
-		}
-		switch {
-		case err == nil:
-			return buf[:len(buf)-1], nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			continue
-		case errors.Is(err, io.EOF):
-			if len(buf) == 0 {
-				return nil, errStreamEnd
-			}
-			// A final unterminated line is still a line (matches the old
-			// Scanner behavior).
-			return buf, nil
-		default:
-			return nil, err
-		}
-	}
 }
 
 // enqueuePoll is how often a backpressured enqueue re-checks the shard

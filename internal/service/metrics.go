@@ -13,9 +13,9 @@ import (
 
 // Metrics is tmid's metric registry, rendered in the Prometheus text
 // exposition format by WriteTo. Counters are atomics updated from shard
-// loops and handlers; the histogram and the scrape-to-scrape rate gauge
-// take a small mutex (cold paths: one observation per tick, one snapshot
-// per scrape).
+// loops and handlers; the histogram takes a small mutex (cold paths: one
+// observation per tick, one snapshot per scrape). Rendering reads state
+// and never changes it, so any number of scrapers see the same values.
 type Metrics struct {
 	now   func() time.Time
 	start time.Time
@@ -26,19 +26,12 @@ type Metrics struct {
 	invalidBatches atomic.Uint64 // batches refused by the shard (bad session params)
 	rejected       atomic.Uint64 // streams turned away with 429
 	streamsTotal   atomic.Uint64
-	streamsNDJSON  atomic.Uint64 // streams negotiated onto the NDJSON encoding
-	streamsBinary  atomic.Uint64 // streams negotiated onto the binary frame encoding
 	streamsOpen    atomic.Int64
 	wireFrames     atomic.Uint64 // binary frames decoded (samples + ticks)
-	// Records decoded at the wire boundary, by encoding. These count what
-	// clients sent; the records counter above counts what shards actually
-	// ingested (the difference is batches dropped on backpressure).
-	wireRecordsNDJSON atomic.Uint64
-	wireRecordsBinary atomic.Uint64
-	ticks             atomic.Uint64
-	classTrue         atomic.Uint64 // advice lines classified true sharing
-	classFalse        atomic.Uint64 // advice lines classified false sharing
-	advicePages       atomic.Uint64 // pages recommended for isolation
+	ticks          atomic.Uint64
+	classTrue      atomic.Uint64 // advice lines classified true sharing
+	classFalse     atomic.Uint64 // advice lines classified false sharing
+	advicePages    atomic.Uint64 // pages recommended for isolation
 
 	sessionsActive  atomic.Int64
 	sessionsEvicted atomic.Uint64
@@ -51,15 +44,10 @@ type Metrics struct {
 	// adviceBackend counts advice messages that carried each repair-backend
 	// recommendation (empty when no recommendation policy is configured).
 	adviceBackend map[string]uint64
-	// Scrape-to-scrape ingest rate: the records/sec gauge is the delta
-	// since the previous /metrics scrape (first scrape: since start).
-	lastRateTotal uint64
-	lastRateAt    time.Time
 }
 
 func newMetrics(now func() time.Time) *Metrics {
-	t := now()
-	return &Metrics{now: now, start: t, lastRateAt: t, latency: newLatencyHistogram()}
+	return &Metrics{now: now, start: now(), latency: newLatencyHistogram()}
 }
 
 // observeAdvice folds one advice reply into the classification counters and
@@ -121,13 +109,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	counter("tmid_ingest_invalid_batches_total", "Batches refused by a shard (invalid session parameters).", m.invalidBatches.Load())
 	counter("tmid_streams_total", "Client streams admitted.", m.streamsTotal.Load())
 	counter("tmid_streams_rejected_total", "Client streams rejected with 429 because the tenant's shard was saturated.", m.rejected.Load())
-	fmt.Fprintf(w, "# HELP tmid_wire_streams_total Admitted streams by negotiated sample encoding.\n# TYPE tmid_wire_streams_total counter\n")
-	fmt.Fprintf(w, "tmid_wire_streams_total{encoding=\"ndjson\"} %d\n", m.streamsNDJSON.Load())
-	fmt.Fprintf(w, "tmid_wire_streams_total{encoding=\"binary\"} %d\n", m.streamsBinary.Load())
 	counter("tmid_wire_frames_total", "Binary wire frames decoded (samples and ticks).", m.wireFrames.Load())
-	fmt.Fprintf(w, "# HELP tmid_wire_records_total Sample records decoded at the wire boundary, by encoding.\n# TYPE tmid_wire_records_total counter\n")
-	fmt.Fprintf(w, "tmid_wire_records_total{encoding=\"ndjson\"} %d\n", m.wireRecordsNDJSON.Load())
-	fmt.Fprintf(w, "tmid_wire_records_total{encoding=\"binary\"} %d\n", m.wireRecordsBinary.Load())
 	gauge("tmid_streams_open", "Client streams currently connected.", float64(m.streamsOpen.Load()))
 	counter("tmid_ticks_total", "Analysis windows closed (advice messages produced).", m.ticks.Load())
 	counter("tmid_classified_lines_true_total", "Advice lines classified as true sharing.", m.classTrue.Load())
@@ -152,16 +134,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 	}
 	gauge("tmid_draining", "1 while the server is draining for shutdown.", drainingV)
 
-	now := m.now()
-	total := m.records.Load()
 	m.mu.Lock()
-	elapsed := now.Sub(m.lastRateAt).Seconds()
-	rate := 0.0
-	if elapsed > 0 {
-		rate = float64(total-m.lastRateTotal) / elapsed
-	}
-	m.lastRateTotal = total
-	m.lastRateAt = now
 	h := m.latency
 	hCounts := append([]uint64(nil), h.counts...)
 	hSum, hCount := h.sum, h.count
@@ -175,7 +148,6 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 		backendCounts[i] = m.adviceBackend[b]
 	}
 	m.mu.Unlock()
-	gauge("tmid_ingest_records_per_sec", "Ingest rate over the interval since the previous scrape.", rate)
 
 	fmt.Fprintf(w, "# HELP tmid_advice_latency_seconds Tick-to-advice latency (enqueue to reply).\n# TYPE tmid_advice_latency_seconds histogram\n")
 	cum := uint64(0)
@@ -195,5 +167,5 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepths []int, queueCap int, draining
 		}
 	}
 
-	gauge("tmid_uptime_seconds", "Seconds since the server started.", now.Sub(m.start).Seconds())
+	gauge("tmid_uptime_seconds", "Seconds since the server started.", m.now().Sub(m.start).Seconds())
 }

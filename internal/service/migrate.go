@@ -65,29 +65,9 @@ func writeMigrationStream(w io.Writer, tenant string, log *trace.SampleLog) erro
 	}
 	bw := toolio.NewBinWriter(w)
 	var cols toolio.SampleColumns
-	writeSamples := func(samples []detect.Sample) error {
-		for lo := 0; lo < len(samples); lo += toolio.MaxWireBatch {
-			hi := min(lo+toolio.MaxWireBatch, len(samples))
-			cols.Grow(hi - lo)
-			for i, sm := range samples[lo:hi] {
-				cols.TID[i] = uint32(sm.TID)
-				cols.Addr[i] = sm.Addr
-				cols.Width[i] = uint16(sm.Width)
-				wr := uint8(0)
-				if sm.Write {
-					wr = 1
-				}
-				cols.Write[i] = wr
-			}
-			if err := bw.WriteSamples(&cols); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	lo := 0
 	for i, win := range log.Windows {
-		if err := writeSamples(log.Samples[lo:win.End]); err != nil {
+		if err := writeSampleFrames(bw, &cols, log.Samples[lo:win.End], toolio.MaxWireBatch); err != nil {
 			return err
 		}
 		if err := bw.WriteTick(toolio.WireTick{K: toolio.WireTickKind, Seq: i, IntervalSec: win.IntervalSec, Period: win.Period}); err != nil {
@@ -95,7 +75,7 @@ func writeMigrationStream(w io.Writer, tenant string, log *trace.SampleLog) erro
 		}
 		lo = win.End
 	}
-	return writeSamples(log.Samples[lo:])
+	return writeSampleFrames(bw, &cols, log.Samples[lo:], toolio.MaxWireBatch)
 }
 
 // readMigrationStream parses a migration stream back into a sample log.
@@ -103,7 +83,7 @@ func writeMigrationStream(w io.Writer, tenant string, log *trace.SampleLog) erro
 // OOM); frame-level validation (column ranges, batch caps) is the binary
 // codec's.
 func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant string, log *trace.SampleLog, err error) {
-	line, err := readWireLine(br, nil, maxFrame)
+	line, err := toolio.ReadLine(br, nil, maxFrame)
 	if err != nil {
 		return "", nil, fmt.Errorf("migration stream: missing hello")
 	}

@@ -27,36 +27,23 @@ func streamWindows(t *testing.T, baseURL, tenant string, log *trace.SampleLog, l
 	go func() {
 		bw := bufio.NewWriterSize(pw, 64<<10)
 		werr := func() error {
-			hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: tenant, PageSize: log.PageSize}
+			hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: tenant, PageSize: log.PageSize, Wire: toolio.WireFormatBinary}
 			if _, err := bw.Write(toolio.EncodeWire(hello)); err != nil {
 				return err
 			}
-			writeSamples := func(samples []detect.Sample) error {
-				msg := toolio.WireSamples{K: toolio.WireSamplesKind, S: make([][4]uint64, len(samples))}
-				for i, sm := range samples {
-					wr := uint64(0)
-					if sm.Write {
-						wr = 1
-					}
-					msg.S[i] = [4]uint64{uint64(sm.TID), sm.Addr, uint64(sm.Width), wr}
-				}
-				_, err := bw.Write(toolio.EncodeWire(msg))
-				return err
-			}
+			enc := toolio.NewBinWriter(bw)
+			var cols toolio.SampleColumns
 			for i := lo; i < hi; i++ {
-				if err := writeSamples(log.WindowSamples(i)); err != nil {
+				if err := writeSampleFrames(enc, &cols, log.WindowSamples(i), DefaultBatchRecords); err != nil {
 					return err
 				}
 				w := log.Windows[i]
-				tick := toolio.WireTick{K: toolio.WireTickKind, Seq: i, IntervalSec: w.IntervalSec, Period: w.Period}
-				if _, err := bw.Write(toolio.EncodeWire(tick)); err != nil {
+				if err := enc.WriteTick(toolio.WireTick{K: toolio.WireTickKind, Seq: i, IntervalSec: w.IntervalSec, Period: w.Period}); err != nil {
 					return err
 				}
 			}
-			if len(tail) > 0 {
-				if err := writeSamples(tail); err != nil {
-					return err
-				}
+			if err := writeSampleFrames(enc, &cols, tail, DefaultBatchRecords); err != nil {
+				return err
 			}
 			return bw.Flush()
 		}()

@@ -64,9 +64,32 @@ func ReplayWithPolicy(log *trace.SampleLog, pageSize int, dcfg detect.Config, pe
 	return out.Bytes(), nil
 }
 
-// DefaultBatchRecords is the sample-batch size the client packs per wire
-// line.
+// DefaultBatchRecords is the sample-batch size the client packs per
+// samples frame.
 const DefaultBatchRecords = 512
+
+// writeSampleFrames encodes samples as samples frames of at most batch
+// records each, filling cols (reused across calls) as the columnar batch.
+func writeSampleFrames(bw *toolio.BinWriter, cols *toolio.SampleColumns, samples []detect.Sample, batch int) error {
+	for lo := 0; lo < len(samples); lo += batch {
+		hi := min(lo+batch, len(samples))
+		cols.Grow(hi - lo)
+		for i, sm := range samples[lo:hi] {
+			cols.TID[i] = uint32(sm.TID)
+			cols.Addr[i] = sm.Addr
+			cols.Width[i] = uint16(sm.Width)
+			wr := uint8(0)
+			if sm.Write {
+				wr = 1
+			}
+			cols.Write[i] = wr
+		}
+		if err := bw.WriteSamples(cols); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Client replays captured sample traces against a tmid server.
 type Client struct {
@@ -77,13 +100,9 @@ type Client struct {
 	// PageSize is the trace's page size (hello field; advice pages are
 	// aligned to it). 0 means 4096.
 	PageSize int
-	// BatchRecords caps samples per wire line (0 = DefaultBatchRecords).
+	// BatchRecords caps samples per samples frame (0 =
+	// DefaultBatchRecords).
 	BatchRecords int
-	// Wire selects the sample encoding: "" or toolio.WireFormatNDJSON for
-	// NDJSON quads, toolio.WireFormatBinary for columnar batch frames.
-	// The advice stream back is NDJSON either way, so parity comparisons
-	// are encoding-independent.
-	Wire string
 	// HTTP overrides the transport (0-timeout default client otherwise).
 	HTTP *http.Client
 }
@@ -133,76 +152,32 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 	// replies once per tick, and the client's tick cadence keeps at most a
 	// few batches in flight — the HTTP analog of the bounded shard queue.
 	writeErr := make(chan error, 1)
-	binMode := c.Wire == toolio.WireFormatBinary
 	go func() {
 		bw := bufio.NewWriterSize(pw, 256<<10)
 		werr := func() error {
-			hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: c.Tenant, PageSize: pageSize, Wire: c.Wire}
+			// "binary" is spelled out although v3 reads "" the same way:
+			// a schema-v2 node would read "" as NDJSON.
+			hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: c.Tenant, PageSize: pageSize, Wire: toolio.WireFormatBinary}
 			if _, err := bw.Write(toolio.EncodeWire(hello)); err != nil {
 				return err
 			}
-			var enc *toolio.BinWriter
+			enc := toolio.NewBinWriter(bw)
 			var cols toolio.SampleColumns
-			if binMode {
-				enc = toolio.NewBinWriter(bw)
-			}
 			var ferr error
 			forEachWindow(log, repeat, func(seq int, samples []detect.Sample, w trace.SampleWindow) {
 				if ferr != nil {
 					return
 				}
-				for lo := 0; lo < len(samples); lo += batch {
-					hi := lo + batch
-					if hi > len(samples) {
-						hi = len(samples)
-					}
-					if binMode {
-						cols.Grow(hi - lo)
-						for i, sm := range samples[lo:hi] {
-							cols.TID[i] = uint32(sm.TID)
-							cols.Addr[i] = sm.Addr
-							cols.Width[i] = uint16(sm.Width)
-							w := uint8(0)
-							if sm.Write {
-								w = 1
-							}
-							cols.Write[i] = w
-						}
-						if err := enc.WriteSamples(&cols); err != nil {
-							ferr = err
-							return
-						}
-					} else {
-						msg := toolio.WireSamples{K: toolio.WireSamplesKind, S: make([][4]uint64, hi-lo)}
-						for i, sm := range samples[lo:hi] {
-							wr := uint64(0)
-							if sm.Write {
-								wr = 1
-							}
-							msg.S[i] = [4]uint64{uint64(sm.TID), sm.Addr, uint64(sm.Width), wr}
-						}
-						if _, err := bw.Write(toolio.EncodeWire(msg)); err != nil {
-							ferr = err
-							return
-						}
-					}
-					res.Records += hi - lo
+				if ferr = writeSampleFrames(enc, &cols, samples, batch); ferr != nil {
+					return
 				}
-				tick := toolio.WireTick{K: toolio.WireTickKind, Seq: seq, IntervalSec: w.IntervalSec, Period: w.Period}
-				if binMode {
-					if err := enc.WriteTick(tick); err != nil {
-						ferr = err
-						return
-					}
-				} else if _, err := bw.Write(toolio.EncodeWire(tick)); err != nil {
-					ferr = err
+				res.Records += len(samples)
+				if ferr = enc.WriteTick(toolio.WireTick{K: toolio.WireTickKind, Seq: seq, IntervalSec: w.IntervalSec, Period: w.Period}); ferr != nil {
 					return
 				}
 				// Flush the tick so the server sees the whole window now: the
 				// response side is waiting for this tick's advice line.
-				if err := bw.Flush(); err != nil {
-					ferr = err
-				}
+				ferr = bw.Flush()
 				res.Ticks++
 			})
 			if ferr != nil {
@@ -240,17 +215,23 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 		return nil, fmt.Errorf("service: stream rejected: %s: %s", resp.Status, bytes.TrimSpace(body))
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxWireLine)
-	for sc.Scan() {
-		msg, err := toolio.DecodeWireMsg(sc.Bytes())
+	rd := bufio.NewReader(resp.Body)
+	var line []byte
+	for {
+		line, err = toolio.ReadLine(rd, line, toolio.MaxWireLine)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		msg, err := toolio.DecodeWireMsg(line)
 		if err != nil {
 			return nil, err
 		}
 		switch msg.K {
 		case toolio.WireAdviceKind:
-			res.Advice = append(res.Advice, sc.Bytes()...)
-			res.Advice = append(res.Advice, '\n')
+			res.Advice = append(res.Advice, line...)
 		case toolio.WireErrorKind:
 			if msg.RetryMs > 0 {
 				return nil, &ErrBusy{RetryAfter: time.Duration(msg.RetryMs) * time.Millisecond}
@@ -259,9 +240,6 @@ func (c *Client) Replay(log *trace.SampleLog, repeat int) (*ReplayResult, error)
 		default:
 			return nil, fmt.Errorf("service: unexpected reply kind %q", msg.K)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if err := <-writeErr; err != nil && err != io.EOF {
 		return nil, fmt.Errorf("service: stream write: %w", err)

@@ -4,8 +4,9 @@
 //
 // The offline pipeline — PEBS records in, sliding-window classification
 // out, sampling period tuned online — is fundamentally a stream consumer,
-// and this package runs it as one. Clients stream NDJSON-framed resolved
-// HITM samples (internal/toolio wire schema) over HTTP; each tenant
+// and this package runs it as one. Clients stream resolved HITM samples
+// as binary frames after an NDJSON hello (internal/toolio wire schema)
+// over HTTP; each tenant
 // (process/run identity) is hash-routed to one of N detector shards — a
 // worker goroutine that owns its sessions' detect.Detector state outright,
 // so the hot ingest path takes no locks and shards never contend with each
@@ -57,7 +58,7 @@ type Config struct {
 	// queue before the batch is dropped and the stream aborted with a
 	// retryable wire error (default 5s).
 	EnqueueWait time.Duration
-	// MaxFrameBytes bounds one wire unit from a client — an NDJSON line or
+	// MaxFrameBytes bounds one wire unit from a client — the hello line or
 	// a binary frame payload (default toolio.MaxWireLine). It caps the
 	// per-connection decode buffer, so it is the operator's memory knob
 	// for hostile or misconfigured producers.

@@ -278,7 +278,7 @@ func TestMidStreamOverloadDropsBatchWithRetryableError(t *testing.T) {
 		}
 		respc <- resp
 	}()
-	hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: "wedge-1", PageSize: 4096}
+	hello := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: "wedge-1", PageSize: 4096, Wire: toolio.WireFormatBinary}
 	if _, err := pw.Write(toolio.EncodeWire(hello)); err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +303,10 @@ func TestMidStreamOverloadDropsBatchWithRetryableError(t *testing.T) {
 	sh.jobs <- job{stall: stall}
 	sh.jobs <- job{stall: stall}
 
-	batch := toolio.WireSamples{K: toolio.WireSamplesKind, S: [][4]uint64{{0, 0x10000, 8, 1}, {1, 0x10008, 8, 0}}}
-	if _, err := pw.Write(toolio.EncodeWire(batch)); err != nil {
+	var batch toolio.SampleColumns
+	batch.Append(0, 0x10000, 8, true)
+	batch.Append(1, 0x10008, 8, false)
+	if err := toolio.NewBinWriter(pw).WriteSamples(&batch); err != nil {
 		t.Fatal(err)
 	}
 
@@ -411,7 +413,6 @@ func TestMetricsExposition(t *testing.T) {
 		"tmid_queue_depth{shard=\"0\"} ",
 		"tmid_queue_depth{shard=\"1\"} ",
 		"tmid_queue_capacity 256",
-		"tmid_ingest_records_per_sec ",
 		"tmid_advice_latency_seconds_bucket{le=\"+Inf\"} " + fmt.Sprint(len(log.Windows)),
 		"tmid_advice_latency_seconds_count " + fmt.Sprint(len(log.Windows)),
 		"tmid_classified_lines_false_total",
@@ -428,20 +429,27 @@ func TestHelloValidation(t *testing.T) {
 	_, hs := newTestServer(t, Config{Shards: 1})
 	for _, tc := range []struct {
 		name, body string
+		want       string // in the 400 body, when set
 	}{
-		{"empty", ""},
-		{"not-hello", `{"k":"t","seq":0}` + "\n"},
-		{"future-version", `{"k":"h","v":99,"tenant":"x"}` + "\n"},
-		{"no-tenant", fmt.Sprintf(`{"k":"h","v":%d}`, toolio.SchemaVersion) + "\n"},
-		{"bad-page-size", fmt.Sprintf(`{"k":"h","v":%d,"tenant":"x","page_size":1000}`, toolio.SchemaVersion) + "\n"},
+		{"empty", "", ""},
+		{"not-hello", `{"k":"t","seq":0}` + "\n", ""},
+		{"future-version", `{"k":"h","v":99,"tenant":"x"}` + "\n", ""},
+		{"no-tenant", fmt.Sprintf(`{"k":"h","v":%d}`, toolio.SchemaVersion) + "\n", ""},
+		{"bad-page-size", fmt.Sprintf(`{"k":"h","v":%d,"tenant":"x","page_size":1000}`, toolio.SchemaVersion) + "\n", ""},
+		// A schema-v2 client asking for NDJSON samples is told why.
+		{"ndjson-wire", `{"k":"h","v":2,"tenant":"x","wire":"ndjson"}` + "\n", "schema v3"},
 	} {
 		resp, err := http.Post(hs.URL+"/v1/stream", "application/x-ndjson", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: body %q does not mention %q", tc.name, body, tc.want)
 		}
 	}
 }

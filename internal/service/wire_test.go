@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -15,10 +16,10 @@ import (
 	"repro/internal/toolio"
 )
 
-// TestBinaryStreamParity is the tentpole's correctness gate: the same
-// captured trace replayed through the binary frame encoding must produce
-// an advice stream byte-identical to both the NDJSON replay and the
-// offline detector.
+// TestBinaryStreamParity is the data plane's correctness gate: the same
+// captured trace replayed as binary frames must produce an advice stream
+// byte-identical to the offline detector, whatever the frame size — a
+// window split across many small frames, or a frame per window.
 func TestBinaryStreamParity(t *testing.T) {
 	log := syntheticLog()
 	_, hs := newTestServer(t, Config{Shards: 2})
@@ -27,26 +28,18 @@ func TestBinaryStreamParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	nd := &Client{BaseURL: hs.URL, Tenant: "wire-nd", PageSize: log.PageSize}
-	ndRes, err := nd.Replay(log, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := &Client{BaseURL: hs.URL, Tenant: "wire-bin", PageSize: log.PageSize, Wire: toolio.WireFormatBinary}
-	binRes, err := bin.Replay(log, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(binRes.Advice, want) {
-		t.Errorf("binary advice diverged from offline replay:\nbinary:  %s\noffline: %s", binRes.Advice, want)
-	}
-	if !bytes.Equal(binRes.Advice, ndRes.Advice) {
-		t.Errorf("binary and NDJSON advice diverged")
-	}
-	if binRes.Records != ndRes.Records || binRes.Ticks != ndRes.Ticks {
-		t.Errorf("binary sent %d records / %d ticks, ndjson %d / %d",
-			binRes.Records, binRes.Ticks, ndRes.Records, ndRes.Ticks)
+	for _, batch := range []int{7, DefaultBatchRecords, toolio.MaxWireBatch} {
+		cl := &Client{BaseURL: hs.URL, Tenant: fmt.Sprintf("wire-%d", batch), PageSize: log.PageSize, BatchRecords: batch}
+		res, err := cl.Replay(log, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Advice, want) {
+			t.Errorf("batch %d: advice diverged from offline replay:\nbinary:  %s\noffline: %s", batch, res.Advice, want)
+		}
+		if res.Records != 2*log.Len() || res.Ticks != 2*len(log.Windows) {
+			t.Errorf("batch %d: sent %d records / %d ticks, want %d / %d", batch, res.Records, res.Ticks, 2*log.Len(), 2*len(log.Windows))
+		}
 	}
 }
 
@@ -60,7 +53,7 @@ func rawStream(t *testing.T, url, body string) (int, []*toolio.WireMsg) {
 	defer resp.Body.Close()
 	var msgs []*toolio.WireMsg
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxWireLine)
+	sc.Buffer(make([]byte, 64<<10), toolio.MaxWireLine)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
@@ -79,9 +72,11 @@ func helloLine(tenant, wire string) string {
 	return string(toolio.EncodeWire(h))
 }
 
-// TestHostileQuadsAnswerWireError pins the wire-boundary truncation fix:
-// a quad like tid=2^63 used to be cast straight to a negative int and fed
-// into the detector; it must now die at decode with a WireError.
+// TestHostileQuadsAnswerWireError sends the hostile NDJSON sample quads
+// that once had to be range-checked (tid=2^63 used to become a negative
+// thread ID) the way a schema-v2 client would: as lines after a hello. No
+// NDJSON data path is left, so each must be refused before any field is
+// read, with a non-retryable wire error that says what went wrong.
 func TestHostileQuadsAnswerWireError(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Shards: 1})
 	for name, quad := range map[string]string{
@@ -95,8 +90,8 @@ func TestHostileQuadsAnswerWireError(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("admission status %d, want 200", status)
 			}
-			if len(msgs) != 1 || msgs[0].K != toolio.WireErrorKind {
-				t.Fatalf("hostile quad reply %+v, want one wire error", msgs)
+			if len(msgs) != 1 || msgs[0].K != toolio.WireErrorKind || !strings.Contains(msgs[0].Error, "NDJSON line") {
+				t.Fatalf("hostile quad reply %+v, want one NDJSON-line wire error", msgs)
 			}
 			if msgs[0].RetryMs != 0 {
 				t.Errorf("malformed input marked retryable: %+v", msgs[0])
@@ -281,9 +276,15 @@ func TestDrainClosesPromptlyUnderSaturatedEnqueues(t *testing.T) {
 // sample. It must be a 400 now.
 func TestSmallPageSizeHelloRejected(t *testing.T) {
 	_, hs := newTestServer(t, Config{Shards: 1})
+	var frame bytes.Buffer
+	var cols toolio.SampleColumns
+	cols.Append(0, 0x10000, 8, true)
+	if err := toolio.NewBinWriter(&frame).WriteSamples(&cols); err != nil {
+		t.Fatal(err)
+	}
 	for _, ps := range []int{1, 64, 2048} {
 		h := toolio.WireHello{K: toolio.WireHelloKind, Version: toolio.SchemaVersion, Tenant: "tiny", PageSize: ps}
-		body := string(toolio.EncodeWire(h)) + `{"k":"s","s":[[0,65536,8,1]]}` + "\n"
+		body := string(toolio.EncodeWire(h)) + frame.String()
 		resp, err := http.Post(hs.URL+"/v1/stream", "application/x-ndjson", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -295,50 +296,61 @@ func TestSmallPageSizeHelloRejected(t *testing.T) {
 	}
 }
 
-// TestMetricsWireCounters checks the new encoding-labelled wire counters.
+// TestMetricsWireCounters checks the one wire counter left: every frame a
+// replay sends (its samples frames plus one tick per window) is counted
+// once, and the encoding-labelled series are gone.
 func TestMetricsWireCounters(t *testing.T) {
 	log := syntheticLog()
-	srv, hs := newTestServer(t, Config{Shards: 1})
-	if _, err := (&Client{BaseURL: hs.URL, Tenant: "m-nd", PageSize: log.PageSize}).Replay(log, 1); err != nil {
+	_, hs := newTestServer(t, Config{Shards: 1})
+	if _, err := (&Client{BaseURL: hs.URL, Tenant: "m-bin", PageSize: log.PageSize}).Replay(log, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Client{BaseURL: hs.URL, Tenant: "m-bin", PageSize: log.PageSize, Wire: toolio.WireFormatBinary}).Replay(log, 1); err != nil {
-		t.Fatal(err)
+	frames := 0
+	for i := range log.Windows {
+		frames += (len(log.WindowSamples(i))+DefaultBatchRecords-1)/DefaultBatchRecords + 1
 	}
-	resp, err := http.Get(hs.URL + "/metrics")
+	body := scrape(t, hs.URL)
+	if want := fmt.Sprintf("tmid_wire_frames_total %d\n", frames); !strings.Contains(body, want) {
+		t.Errorf("metrics exposition missing %q", want)
+	}
+	for _, gone := range []string{"tmid_wire_streams_total", "tmid_wire_records_total", "encoding="} {
+		if strings.Contains(body, gone) {
+			t.Errorf("metrics exposition still renders %q", gone)
+		}
+	}
+}
+
+// scrape GETs /metrics and returns the body.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	body := buf.String()
-	n := uint64(log.Len())
-	for _, want := range []string{
-		"tmid_wire_streams_total{encoding=\"ndjson\"} 1",
-		"tmid_wire_streams_total{encoding=\"binary\"} 1",
-		"tmid_wire_records_total{encoding=\"ndjson\"} " + itoa(n),
-		"tmid_wire_records_total{encoding=\"binary\"} " + itoa(n),
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics exposition missing %q", want)
-		}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := srv.Metrics().wireFrames.Load(); got == 0 {
-		t.Error("binary replay decoded 0 frames")
-	}
+	return string(body)
 }
 
-func itoa(v uint64) string {
-	var b [20]byte
-	i := len(b)
-	for {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			return string(b[i:])
-		}
+// TestMetricsScrapeIsReadOnly: reading /metrics must not change what the
+// next scraper sees. On an idle server (fake clock standing still) two
+// back-to-back scrapes render identical bodies; a gauge that reset a
+// baseline per scrape, as tmid_ingest_records_per_sec did, shows here as
+// a rate on the first scrape and 0 on the second.
+func TestMetricsScrapeIsReadOnly(t *testing.T) {
+	log := syntheticLog()
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	_, hs := newTestServer(t, Config{Shards: 1, now: clk.now})
+	if _, err := (&Client{BaseURL: hs.URL, Tenant: "scrape-1", PageSize: log.PageSize}).Replay(log, 1); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Second)
+	first, second := scrape(t, hs.URL), scrape(t, hs.URL)
+	if first != second {
+		t.Errorf("two scrapes of an idle server differ:\nfirst:\n%s\nsecond:\n%s", first, second)
 	}
 }
 

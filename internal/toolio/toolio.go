@@ -22,7 +22,9 @@ import (
 //	2  advice messages gain an optional "backend" repair-strategy
 //	   recommendation (omitted when the service has no recommendation
 //	   policy, so version-1 advice bytes are unchanged)
-const SchemaVersion = 2
+//	3  samples and ticks travel only as binary frames: a hello's "wire"
+//	   of "" now means binary, and "ndjson" is refused
+const SchemaVersion = 3
 
 // checkVersion validates a decoded document's version field.
 func checkVersion(kind string, v int) (int, error) {
@@ -31,6 +33,9 @@ func checkVersion(kind string, v int) (int, error) {
 	}
 	if v > SchemaVersion {
 		return 0, fmt.Errorf("toolio: %s schema version %d is newer than this tool's %d", kind, v, SchemaVersion)
+	}
+	if v < 0 {
+		return 0, fmt.Errorf("toolio: %s schema version %d is negative", kind, v)
 	}
 	return v, nil
 }

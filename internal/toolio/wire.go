@@ -1,30 +1,36 @@
 package toolio
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 )
 
-// This file defines tmid's NDJSON wire schema: the streaming ingest format
-// a client (cmd/tmiload, or an embedded runtime's exporter) speaks to the
-// detection service, and the per-tick advice format the service streams
+// This file defines tmid's NDJSON control plane: the hello that opens a
+// stream, and the per-tick advice and error lines the service streams
 // back. One JSON object per line, discriminated by the one-byte "k" field.
 // The schema is versioned by SchemaVersion, carried in the hello, so the
 // wire format and the tool-output documents share a single version axis.
+// Samples and ticks — the data plane — travel as the binary frames defined
+// in wirebin.go; only the hello before them is a line.
 //
 // A stream is:
 //
-//	→ {"k":"h","v":1,"tenant":"run-42","page_size":4096}
-//	→ {"k":"s","s":[[tid,addr,width,write01],...]}   (any number)
-//	→ {"k":"t","seq":0,"interval":0.0001,"period":100}
+//	→ {"k":"h","v":3,"tenant":"run-42","page_size":4096,"wire":"binary"}
+//	→ samples frame                                  (any number)
+//	→ tick frame (seq 0)
 //	← {"k":"a","seq":0,"records":37,"next_period":100,...}
 //	→ ... more sample/tick rounds ...
 //
-// Samples are packed as [tid, addr, width, write] integer quads rather than
-// keyed objects: a load replay pushes 10^5..10^7 of them per client, and the
-// quad form keeps the encode/decode cost per record small without leaving
-// JSON (the paper's detector consumes resolved address/width/kind tuples —
-// exactly this payload — once disassembly has run client-side).
+// The paper's detector consumes resolved (address, width, kind) records —
+// exactly the samples payload — once disassembly has run client-side; a
+// load replay pushes 10^5..10^7 of them per client, which is why they are
+// packed as columns rather than JSON.
+//
+// Message kinds: the "k" field of a line (hello, advice, error), and the
+// kind byte of a binary frame (samples, tick).
 const (
 	WireHelloKind   = "h"
 	WireSamplesKind = "s"
@@ -35,10 +41,10 @@ const (
 
 // WireHello opens a stream: schema version, tenant identity (the sharding
 // key — one detector session exists per tenant), and the tenant's page size
-// (advice pages are page-aligned in it). Wire negotiates the encoding of
-// the rest of the request body: "" or "ndjson" keeps NDJSON lines, "binary"
-// switches to the columnar batch frames defined in wirebin.go (the hello
-// itself and the advice stream back are always NDJSON).
+// (advice pages are page-aligned in it). Wire names the encoding of the
+// rest of the request body: "" and "binary" both mean the columnar frames
+// defined in wirebin.go. Schema v2 read "" as NDJSON samples, so clients
+// send "binary" explicitly.
 type WireHello struct {
 	K        string `json:"k"`
 	Version  int    `json:"v"`
@@ -47,21 +53,15 @@ type WireHello struct {
 	Wire     string `json:"wire,omitempty"`
 }
 
-// WireSamples carries a batch of resolved samples, each packed as
-// [tid, addr, width, write(0/1)].
-type WireSamples struct {
-	K string      `json:"k"`
-	S [][4]uint64 `json:"s"`
-}
-
 // WireTick closes the current analysis window: all samples since the
 // previous tick were collected over IntervalSec simulated seconds at the
-// given sampling period. Seq numbers ticks from 0 within the stream.
+// given sampling period. Seq numbers ticks from 0 within the stream. It
+// travels only as a binary tick frame (wirebin.go).
 type WireTick struct {
-	K           string  `json:"k"`
-	Seq         int     `json:"seq"`
-	IntervalSec float64 `json:"interval"`
-	Period      int     `json:"period"`
+	K           string
+	Seq         int
+	IntervalSec float64
+	Period      int
 }
 
 // WireLine is one classified cache line in an advice message.
@@ -99,56 +99,67 @@ type WireError struct {
 	RetryMs int    `json:"retry_ms,omitempty"`
 }
 
-// WireMsg is the decode-side union of every message kind: NDJSON lines are
-// decoded into it and dispatched on K.
+// WireMsg is the decode-side union of the control-plane kinds (hello,
+// advice, error): NDJSON lines are decoded into it and dispatched on K.
 type WireMsg struct {
-	K           string      `json:"k"`
-	Version     int         `json:"v,omitempty"`
-	Tenant      string      `json:"tenant,omitempty"`
-	PageSize    int         `json:"page_size,omitempty"`
-	Wire        string      `json:"wire,omitempty"`
-	S           [][4]uint64 `json:"s,omitempty"`
-	Seq         int         `json:"seq,omitempty"`
-	IntervalSec float64     `json:"interval,omitempty"`
-	Period      int         `json:"period,omitempty"`
-	Records     uint64      `json:"records,omitempty"`
-	NextPeriod  int         `json:"next_period,omitempty"`
-	Backend     string      `json:"backend,omitempty"`
-	Pages       []uint64    `json:"pages,omitempty"`
-	Lines       []WireLine  `json:"lines,omitempty"`
-	Error       string      `json:"error,omitempty"`
-	RetryMs     int         `json:"retry_ms,omitempty"`
+	K          string     `json:"k"`
+	Version    int        `json:"v,omitempty"`
+	Tenant     string     `json:"tenant,omitempty"`
+	PageSize   int        `json:"page_size,omitempty"`
+	Wire       string     `json:"wire,omitempty"`
+	Seq        int        `json:"seq,omitempty"`
+	Records    uint64     `json:"records,omitempty"`
+	NextPeriod int        `json:"next_period,omitempty"`
+	Backend    string     `json:"backend,omitempty"`
+	Pages      []uint64   `json:"pages,omitempty"`
+	Lines      []WireLine `json:"lines,omitempty"`
+	Error      string     `json:"error,omitempty"`
+	RetryMs    int        `json:"retry_ms,omitempty"`
 }
 
-// DecodeWireMsg parses one NDJSON line. Sample quads and tick sequence
-// numbers are range-checked here — samples cross the trust boundary as raw
-// integers, and the same limits the binary decoder enforces per column
-// (MaxWireTID, MaxWireWidth, MaxWireBatch) apply to the quad form, so a
-// hostile quad like tid=2^63 is a decode error in both codecs rather than
-// a negative thread ID inside the detector.
+// DecodeWireMsg parses one NDJSON line (a trailing newline is allowed). It
+// checks only that the line is JSON with a kind; CheckHello validates a
+// hello's fields.
 func DecodeWireMsg(line []byte) (*WireMsg, error) {
 	var m WireMsg
 	if err := json.Unmarshal(line, &m); err != nil {
 		return nil, fmt.Errorf("toolio: bad wire line: %w", err)
 	}
-	switch m.K {
-	case "":
+	if m.K == "" {
 		return nil, fmt.Errorf("toolio: wire line without kind")
-	case WireSamplesKind:
-		if len(m.S) > MaxWireBatch {
-			return nil, fmt.Errorf("toolio: samples batch of %d records exceeds batch cap %d", len(m.S), MaxWireBatch)
-		}
-		for i, q := range m.S {
-			if err := ValidateQuad(q); err != nil {
-				return nil, fmt.Errorf("sample %d: %w", i, err)
-			}
-		}
-	case WireTickKind:
-		if m.Seq < 0 {
-			return nil, fmt.Errorf("toolio: tick seq %d is negative", m.Seq)
-		}
 	}
 	return &m, nil
+}
+
+// ReadLine reads one NDJSON line into buf (reused across calls) and
+// returns it with its newline; a final unterminated line gets one
+// appended. maxLen caps the line (0 means MaxWireLine). A clean end of
+// input before any byte returns io.EOF.
+func ReadLine(br *bufio.Reader, buf []byte, maxLen int) ([]byte, error) {
+	if maxLen <= 0 {
+		maxLen = MaxWireLine
+	}
+	buf = buf[:0]
+	for {
+		frag, err := br.ReadSlice('\n')
+		buf = append(buf, frag...)
+		if len(buf) > maxLen {
+			return nil, fmt.Errorf("toolio: wire line exceeds %d bytes", maxLen)
+		}
+		switch {
+		case err == nil:
+			return buf, nil
+		case errors.Is(err, bufio.ErrBufferFull):
+			continue
+		case errors.Is(err, io.EOF):
+			if len(buf) == 0 {
+				return nil, io.EOF
+			}
+			return append(buf, '\n'), nil
+		default:
+			return nil, err
+		}
+	}
 }
 
 // EncodeWire marshals any wire message struct as one NDJSON line,

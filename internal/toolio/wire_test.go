@@ -1,16 +1,16 @@
 package toolio
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestWireRoundTrip(t *testing.T) {
 	msgs := []any{
-		WireHello{K: WireHelloKind, Version: SchemaVersion, Tenant: "run-42", PageSize: 4096},
-		WireSamples{K: WireSamplesKind, S: [][4]uint64{{3, 0x7f001040, 8, 1}, {0, 0x7f001048, 4, 0}}},
-		WireTick{K: WireTickKind, Seq: 7, IntervalSec: 0.0001, Period: 100},
+		WireHello{K: WireHelloKind, Version: SchemaVersion, Tenant: "run-42", PageSize: 4096, Wire: WireFormatBinary},
 		WireAdvice{
 			K: WireAdviceKind, Seq: 7, Records: 37, NextPeriod: 400,
 			Backend: "tmebox",
@@ -30,16 +30,8 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 		switch want := msg.(type) {
 		case WireHello:
-			if m.K != want.K || m.Version != want.Version || m.Tenant != want.Tenant || m.PageSize != want.PageSize {
+			if m.K != want.K || m.Version != want.Version || m.Tenant != want.Tenant || m.PageSize != want.PageSize || m.Wire != want.Wire {
 				t.Errorf("hello did not round-trip: %+v", m)
-			}
-		case WireSamples:
-			if m.K != want.K || len(m.S) != len(want.S) || m.S[0] != want.S[0] || m.S[1] != want.S[1] {
-				t.Errorf("samples did not round-trip: %+v", m)
-			}
-		case WireTick:
-			if m.K != want.K || m.Seq != want.Seq || m.IntervalSec != want.IntervalSec || m.Period != want.Period {
-				t.Errorf("tick did not round-trip: %+v", m)
 			}
 		case WireAdvice:
 			if m.K != want.K || m.Seq != want.Seq || m.Records != want.Records || m.NextPeriod != want.NextPeriod ||
@@ -99,7 +91,10 @@ func TestHelloVersionHandling(t *testing.T) {
 	if err := check(`{"k":"h","v":1,"tenant":"v1-client","page_size":4096}`); err != nil {
 		t.Errorf("version-1 hello rejected: %v", err)
 	}
-	if err := check(`{"k":"h","v":2,"tenant":"v2-client","page_size":4096}`); err != nil {
+	if err := check(`{"k":"h","v":2,"tenant":"v2-client","page_size":4096,"wire":"binary"}`); err != nil {
+		t.Errorf("version-2 binary hello rejected: %v", err)
+	}
+	if err := check(`{"k":"h","v":3,"tenant":"v3-client","page_size":4096}`); err != nil {
 		t.Errorf("current-version hello rejected: %v", err)
 	}
 	// Futures are rejected, not misread.
@@ -122,6 +117,29 @@ func TestDecodeWireMsgRejectsKindless(t *testing.T) {
 	}
 	if _, err := DecodeWireMsg([]byte(`{`)); err == nil {
 		t.Error("accepted malformed JSON")
+	}
+}
+
+// TestReadLine pins the one NDJSON line reader the service, the relay and
+// the client share: lines come back with their newline, a final
+// unterminated line gets one, a clean end is io.EOF, and the cap holds
+// even for a line longer than the bufio buffer.
+func TestReadLine(t *testing.T) {
+	br := bufio.NewReaderSize(strings.NewReader("{\"k\":\"h\"}\n{\"k\":\"a\"}"), 16)
+	var buf []byte
+	for _, want := range []string{"{\"k\":\"h\"}\n", "{\"k\":\"a\"}\n"} {
+		line, err := ReadLine(br, buf, 0)
+		if err != nil || string(line) != want {
+			t.Fatalf("ReadLine = %q, %v; want %q", line, err, want)
+		}
+		buf = line
+	}
+	if _, err := ReadLine(br, buf, 0); err != io.EOF {
+		t.Errorf("clean end: err = %v, want io.EOF", err)
+	}
+	long := bufio.NewReaderSize(strings.NewReader(strings.Repeat("x", 100)+"\n"), 16)
+	if _, err := ReadLine(long, nil, 64); err == nil || !strings.Contains(err.Error(), "exceeds 64 bytes") {
+		t.Errorf("line cap not enforced: %v", err)
 	}
 }
 

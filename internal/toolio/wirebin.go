@@ -7,13 +7,11 @@ import (
 	"math"
 )
 
-// This file defines the binary half of tmid's wire protocol: a versioned,
-// length-prefixed, little-endian columnar batch frame that replaces the
-// NDJSON sample quads on the ingest hot path. The hello line stays NDJSON —
-// it is the negotiation point (WireHello.Wire chooses the encoding for the
-// rest of the request body) — and the advice stream coming back stays
-// NDJSON too, so the offline/online parity check keeps comparing the exact
-// same bytes regardless of how samples travelled.
+// This file defines the data plane of tmid's wire protocol: a versioned,
+// length-prefixed, little-endian columnar batch frame that carries every
+// sample and tick after the NDJSON hello. The advice stream coming back
+// stays NDJSON (wire.go), so the offline/online parity check compares the
+// same advice bytes an offline Replay renders.
 //
 // Frame layout (all integers little-endian):
 //
@@ -41,8 +39,10 @@ import (
 //
 // Unknown magic, frame versions newer than WireBinVersion, unknown kinds,
 // truncated frames and payloads exceeding the frame cap are all rejected at
-// decode, exactly like SchemaVersion mismatches on the NDJSON side: a
-// malformed producer gets an error, never a misread batch.
+// decode, exactly like SchemaVersion mismatches on the hello: a malformed
+// producer gets an error, never a misread batch. A '{' where a frame
+// should start is a schema-v2 client still sending NDJSON lines; it gets
+// its own error so the mistake is plain.
 const (
 	// WireBinVersion is the binary frame format version. It rides the same
 	// compatibility policy as SchemaVersion: frames newer than this reader
@@ -59,16 +59,13 @@ const (
 	bytesPerSample = 4 + 8 + 2 + 1
 )
 
-// Wire format names carried in WireHello.Wire. Empty means NDJSON (the
-// pre-negotiation default, so old clients keep working unchanged).
-const (
-	WireFormatNDJSON = "ndjson"
-	WireFormatBinary = "binary"
-)
+// WireFormatBinary is the one data-plane encoding a hello may name in
+// WireHello.Wire ("" means the same).
+const WireFormatBinary = "binary"
 
-// Wire-boundary validation limits, shared by both codecs. Samples cross the
-// trust boundary as raw integers; without these caps a hostile quad like
-// tid=2^63 would truncate to a negative int inside the detector.
+// Wire-boundary validation limits. Samples cross the trust boundary as raw
+// integers; without these caps a hostile record like tid=2^31 would reach
+// the detector as a thread ID nothing ever ran.
 const (
 	// MaxWireTID bounds a sample's thread ID (a power-of-two mask so the
 	// columnar decoder can validate a whole column branch-free with one OR
@@ -77,7 +74,7 @@ const (
 	// MaxWireWidth bounds a sample's access width: nothing wider than one
 	// cache line is a meaningful HITM footprint.
 	MaxWireWidth = 64
-	// MaxWireBatch bounds the records in one samples message/frame.
+	// MaxWireBatch bounds the records in one samples frame.
 	MaxWireBatch = 1 << 16
 	// MaxWireLine bounds one NDJSON wire line and one binary frame payload.
 	// A batch of MaxWireBatch samples fits comfortably; anything larger is
@@ -92,22 +89,6 @@ const (
 	// pages).
 	MaxWirePageSize = 1 << 30
 )
-
-// ValidateQuad range-checks one NDJSON sample quad [tid, addr, width,
-// write]. Both codecs enforce the same ranges; this is the quad-side
-// entry point (the columnar decoder validates per column).
-func ValidateQuad(q [4]uint64) error {
-	if q[0] > MaxWireTID {
-		return fmt.Errorf("toolio: sample tid %d out of range [0,%d]", q[0], uint64(MaxWireTID))
-	}
-	if q[2]-1 >= MaxWireWidth { // rejects 0 (wraps) and > MaxWireWidth
-		return fmt.Errorf("toolio: sample width %d out of range [1,%d]", q[2], MaxWireWidth)
-	}
-	if q[3] > 1 {
-		return fmt.Errorf("toolio: sample write flag %d is not 0 or 1", q[3])
-	}
-	return nil
-}
 
 // CheckHello validates a decoded hello message: schema version, tenant,
 // page size and the negotiated wire format. PageSize 0 is allowed (the
@@ -129,9 +110,11 @@ func CheckHello(m *WireMsg) error {
 		}
 	}
 	switch m.Wire {
-	case "", WireFormatNDJSON, WireFormatBinary:
+	case "", WireFormatBinary:
+	case "ndjson":
+		return fmt.Errorf("toolio: wire format \"ndjson\" was removed in schema v3: samples and ticks travel only as binary frames (send \"wire\":%q)", WireFormatBinary)
 	default:
-		return fmt.Errorf("toolio: unknown wire format %q (want %q or %q)", m.Wire, WireFormatNDJSON, WireFormatBinary)
+		return fmt.Errorf("toolio: unknown wire format %q (want %q)", m.Wire, WireFormatBinary)
 	}
 	return nil
 }
@@ -168,9 +151,9 @@ func (c *SampleColumns) Append(tid uint32, addr uint64, width uint16, write bool
 }
 
 // Grow resizes the batch to n samples, reusing capacity; the column
-// contents are unspecified. Bulk producers (the replay client's
-// batch-conversion loop) size once and write the columns by index, which
-// is measurably cheaper than per-record Append on the ingest hot path.
+// contents are unspecified. Bulk producers (the service's sample-frame
+// writer) size once and write the columns by index, which is measurably
+// cheaper than per-record Append on the ingest hot path.
 func (c *SampleColumns) Grow(n int) { c.grow(n) }
 
 // grow resizes the columns to n samples, reusing capacity.
@@ -257,8 +240,8 @@ type BinFrame struct {
 	Tick WireTick
 }
 
-// BinReader decodes binary wire frames from r. The frame payload buffer and
-// the sample columns are owned by the reader and reused across frames, so
+// BinReader decodes binary wire frames from r. The frame buffer and the
+// sample columns are owned by the reader and reused across frames, so
 // steady-state decode allocates nothing (guarded by testing.AllocsPerRun).
 type BinReader struct {
 	r io.Reader
@@ -268,10 +251,9 @@ type BinReader struct {
 	// MaxWireBatch).
 	MaxBatch int
 
-	hdr     [binHeaderSize]byte
-	payload []byte
-	cols    SampleColumns
-	frame   BinFrame
+	buf   []byte // the current frame, header included
+	cols  SampleColumns
+	frame BinFrame
 }
 
 // NewBinReader returns a frame decoder reading from r.
@@ -280,53 +262,77 @@ func NewBinReader(r io.Reader) *BinReader { return &BinReader{r: r} }
 // Reset repoints the reader at a new stream, keeping its buffers.
 func (br *BinReader) Reset(r io.Reader) { br.r = r }
 
-// ReadFrame decodes the next frame. It returns io.EOF at a clean stream
-// end (between frames) and a descriptive error for truncated, oversized,
-// unversioned or out-of-range input. The returned frame's sample columns
-// are reused by the next call.
-func (br *BinReader) ReadFrame() (*BinFrame, error) {
-	if _, err := io.ReadFull(br.r, br.hdr[:]); err != nil {
+// ReadRawFrame reads the next frame without decoding its payload: it checks
+// the magic, version, kind and payload cap, and returns the whole frame,
+// header included, in a buffer the next call reuses. A relay forwards
+// frames this way and leaves column validation to the decoding end. It
+// returns io.EOF at a clean stream end (between frames).
+func (br *BinReader) ReadRawFrame() (kind byte, raw []byte, err error) {
+	if cap(br.buf) < binHeaderSize {
+		br.buf = make([]byte, binHeaderSize, 4<<10)
+	}
+	hdr := br.buf[:binHeaderSize]
+	got, err := io.ReadFull(br.r, hdr)
+	if got > 0 && hdr[0] == '{' {
+		return 0, nil, fmt.Errorf("toolio: NDJSON line where a binary frame was expected: schema v%d streams carry samples and ticks only as binary frames", SchemaVersion)
+	}
+	if err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			return 0, nil, io.EOF
 		}
-		return nil, fmt.Errorf("toolio: truncated frame header: %w", err)
+		return 0, nil, fmt.Errorf("toolio: truncated frame header: %w", err)
 	}
-	if br.hdr[0] != wireBinMagic0 || br.hdr[1] != wireBinMagic1 {
-		return nil, fmt.Errorf("toolio: bad frame magic 0x%02x%02x", br.hdr[0], br.hdr[1])
+	if hdr[0] != wireBinMagic0 || hdr[1] != wireBinMagic1 {
+		return 0, nil, fmt.Errorf("toolio: bad frame magic 0x%02x%02x", hdr[0], hdr[1])
 	}
-	if v := int(br.hdr[2]); v != WireBinVersion {
-		return nil, fmt.Errorf("toolio: frame version %d, this reader speaks %d", v, WireBinVersion)
+	if v := int(hdr[2]); v != WireBinVersion {
+		return 0, nil, fmt.Errorf("toolio: frame version %d, this reader speaks %d", v, WireBinVersion)
 	}
-	kind := br.hdr[3]
-	n := int(binary.LittleEndian.Uint32(br.hdr[4:]))
+	kind = hdr[3]
+	if kind != WireSamplesKind[0] && kind != WireTickKind[0] {
+		return 0, nil, fmt.Errorf("toolio: unknown frame kind 0x%02x", kind)
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[4:]))
 	maxPayload := br.MaxPayload
 	if maxPayload <= 0 {
 		maxPayload = MaxWireLine
 	}
 	if n > maxPayload {
-		return nil, fmt.Errorf("toolio: frame payload %d exceeds cap %d", n, maxPayload)
+		return 0, nil, fmt.Errorf("toolio: frame payload %d exceeds cap %d", n, maxPayload)
 	}
-	if cap(br.payload) < n {
-		br.payload = make([]byte, n)
+	if cap(br.buf) < binHeaderSize+n {
+		nb := make([]byte, binHeaderSize+n)
+		copy(nb, hdr)
+		br.buf = nb
 	}
-	p := br.payload[:n]
-	if _, err := io.ReadFull(br.r, p); err != nil {
-		return nil, fmt.Errorf("toolio: truncated frame payload (%d of %d bytes): %w", 0, n, err)
+	raw = br.buf[:binHeaderSize+n]
+	if got, err := io.ReadFull(br.r, raw[binHeaderSize:]); err != nil {
+		return 0, nil, fmt.Errorf("toolio: truncated frame payload (%d of %d bytes): %w", got, n, err)
 	}
-	switch kind {
-	case WireSamplesKind[0]:
+	return kind, raw, nil
+}
+
+// ReadFrame reads and decodes the next frame. It returns io.EOF at a clean
+// stream end (between frames) and a descriptive error for truncated,
+// oversized, unversioned or out-of-range input. The returned frame's
+// sample columns are reused by the next call.
+func (br *BinReader) ReadFrame() (*BinFrame, error) {
+	kind, raw, err := br.ReadRawFrame()
+	if err != nil {
+		return nil, err
+	}
+	p := raw[binHeaderSize:]
+	if kind == WireSamplesKind[0] {
 		if err := br.decodeSamples(p); err != nil {
 			return nil, err
 		}
 		br.frame = BinFrame{Kind: kind, Samples: &br.cols}
-	case WireTickKind[0]:
+	} else {
 		tick, err := decodeTick(p)
 		if err != nil {
 			return nil, err
 		}
 		br.frame = BinFrame{Kind: kind, Tick: tick}
-	default:
-		return nil, fmt.Errorf("toolio: unknown frame kind 0x%02x", kind)
 	}
 	return &br.frame, nil
 }

@@ -61,7 +61,7 @@ func TestBinRoundTrip(t *testing.T) {
 
 // encodeFrames renders a sequence of frames to raw bytes for corruption
 // tests.
-func encodeFrames(t *testing.T, build func(bw *BinWriter) error) []byte {
+func encodeFrames(t testing.TB, build func(bw *BinWriter) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := build(NewBinWriter(&buf)); err != nil {
@@ -70,10 +70,17 @@ func encodeFrames(t *testing.T, build func(bw *BinWriter) error) []byte {
 	return buf.Bytes()
 }
 
-// TestBinDecodeEdgeCases is the table of hostile and malformed binary
-// input shared with the NDJSON edge cases below: every row must produce a
-// decode error (never a panic, never a misread batch).
-func TestBinDecodeEdgeCases(t *testing.T) {
+// binEdgeCase is one row of hostile or malformed frame input and the text
+// its decode error must mention.
+type binEdgeCase struct {
+	name string
+	in   []byte
+	want string
+}
+
+// binEdgeCases is the table of hostile and malformed binary input, shared
+// by TestBinDecodeEdgeCases and FuzzBinReader's seed corpus.
+func binEdgeCases(t testing.TB) []binEdgeCase {
 	good := encodeFrames(t, func(bw *BinWriter) error { return bw.WriteSamples(sampleBatch(4)) })
 	goodTick := encodeFrames(t, func(bw *BinWriter) error {
 		return bw.WriteTick(WireTick{Seq: 1, IntervalSec: 0.1, Period: 100})
@@ -98,11 +105,7 @@ func TestBinDecodeEdgeCases(t *testing.T) {
 	negSeqTick := append([]byte(nil), goodTick...)
 	binary.LittleEndian.PutUint64(negSeqTick[binHeaderSize:], ^uint64(0)) // seq = -1
 
-	for _, tc := range []struct {
-		name string
-		in   []byte
-		want string
-	}{
+	return []binEdgeCase{
 		{"truncated-header", good[:5], "truncated frame header"},
 		{"truncated-payload", good[:len(good)-3], "truncated frame payload"},
 		{"bad-magic", corrupt(func(b []byte) { b[0] = 'X' }), "bad frame magic"},
@@ -130,7 +133,15 @@ func TestBinDecodeEdgeCases(t *testing.T) {
 		{"bad-write-flag", hostileColumn("write", 7), "not 0 or 1"},
 		{"tick-negative-seq", negSeqTick, "negative"},
 		{"tick-short-payload", goodTick[:binHeaderSize+8], "truncated frame payload"},
-	} {
+		{"ndjson-line", []byte(`{"k":"s","s":[[0,4096,8,1]]}` + "\n"), "NDJSON line"},
+		{"short-ndjson-line", []byte("{}\n"), "NDJSON line"},
+	}
+}
+
+// TestBinDecodeEdgeCases: every row of the hostile-input table must
+// produce a decode error (never a panic, never a misread batch).
+func TestBinDecodeEdgeCases(t *testing.T) {
+	for _, tc := range binEdgeCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			br := NewBinReader(bytes.NewReader(tc.in))
 			var err error
@@ -164,62 +175,65 @@ func TestBinReaderRespectsConfiguredCaps(t *testing.T) {
 	}
 }
 
-// TestNDJSONDecodeEdgeCases mirrors the binary table on the quad codec:
-// the same tid/width/write/seq/batch limits, enforced at DecodeWireMsg.
+// TestNDJSONDecodeEdgeCases keeps the hostile NDJSON lines that schema v2
+// range-checked per quad. Sent after a hello they now reach the frame
+// reader, which must refuse each with the NDJSON error before any field is
+// read, so none can become a sample or a tick.
 func TestNDJSONDecodeEdgeCases(t *testing.T) {
 	hugeBatch := `{"k":"s","s":[` + strings.Repeat(`[0,0,8,1],`, MaxWireBatch) + `[0,0,8,1]]}`
 	for _, tc := range []struct {
-		name, line, want string
+		name, line string
 	}{
-		{"hostile-tid", `{"k":"s","s":[[9223372036854775808,4096,8,1]]}`, "tid"},
-		{"tid-just-past-cap", fmt.Sprintf(`{"k":"s","s":[[%d,4096,8,1]]}`, MaxWireTID+1), "tid"},
-		{"zero-width", `{"k":"s","s":[[0,4096,0,1]]}`, "width"},
-		{"huge-width", `{"k":"s","s":[[0,4096,65,1]]}`, "width"},
-		{"hostile-write", `{"k":"s","s":[[0,4096,8,2]]}`, "write"},
-		{"oversized-batch", hugeBatch, "batch cap"},
-		{"tick-negative-seq", `{"k":"t","seq":-1,"interval":0.1,"period":100}`, "negative"},
+		{"hostile-tid", `{"k":"s","s":[[9223372036854775808,4096,8,1]]}`},
+		{"tid-just-past-cap", fmt.Sprintf(`{"k":"s","s":[[%d,4096,8,1]]}`, MaxWireTID+1)},
+		{"zero-width", `{"k":"s","s":[[0,4096,0,1]]}`},
+		{"huge-width", `{"k":"s","s":[[0,4096,65,1]]}`},
+		{"hostile-write", `{"k":"s","s":[[0,4096,8,2]]}`},
+		{"oversized-batch", hugeBatch},
+		{"tick-negative-seq", `{"k":"t","seq":-1,"interval":0.1,"period":100}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeWireMsg([]byte(tc.line))
-			if err == nil {
-				t.Fatal("decode accepted hostile input")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
+			_, err := NewBinReader(strings.NewReader(tc.line + "\n")).ReadFrame()
+			if err == nil || !strings.Contains(err.Error(), "NDJSON line") {
+				t.Errorf("NDJSON data line: err = %v, want the NDJSON-line error", err)
 			}
 		})
 	}
-	// The boundary values stay valid.
-	ok := fmt.Sprintf(`{"k":"s","s":[[%d,4096,64,1],[0,4096,1,0]]}`, MaxWireTID)
-	if _, err := DecodeWireMsg([]byte(ok)); err != nil {
-		t.Errorf("decode rejected in-range samples: %v", err)
-	}
 }
 
-func TestCheckHello(t *testing.T) {
+// helloCase is one TestCheckHello row; want "" means valid.
+type helloCase struct {
+	name string
+	m    *WireMsg
+	want string
+}
+
+// helloCases is TestCheckHello's table, also FuzzHello's seed corpus.
+func helloCases() []helloCase {
 	hello := func(mut func(m *WireMsg)) *WireMsg {
 		m := &WireMsg{K: WireHelloKind, Version: SchemaVersion, Tenant: "t1", PageSize: 4096}
 		mut(m)
 		return m
 	}
-	for _, tc := range []struct {
-		name string
-		m    *WireMsg
-		want string // "" means valid
-	}{
+	return []helloCase{
 		{"ok", hello(func(m *WireMsg) {}), ""},
 		{"ok-default-page", hello(func(m *WireMsg) { m.PageSize = 0 }), ""},
 		{"ok-binary", hello(func(m *WireMsg) { m.Wire = WireFormatBinary }), ""},
-		{"ok-ndjson", hello(func(m *WireMsg) { m.Wire = WireFormatNDJSON }), ""},
+		{"ndjson-refused", hello(func(m *WireMsg) { m.Wire = "ndjson" }), "schema v3"},
 		{"not-hello", hello(func(m *WireMsg) { m.K = WireTickKind }), "hello"},
 		{"future-version", hello(func(m *WireMsg) { m.Version = 99 }), "version"},
+		{"negative-version", hello(func(m *WireMsg) { m.Version = -1 }), "version"},
 		{"no-tenant", hello(func(m *WireMsg) { m.Tenant = "" }), "tenant"},
 		{"page-size-one", hello(func(m *WireMsg) { m.PageSize = 1 }), "page size"},
 		{"page-size-64", hello(func(m *WireMsg) { m.PageSize = 64 }), "page size"},
 		{"page-size-not-pow2", hello(func(m *WireMsg) { m.PageSize = 1000 }), "page size"},
 		{"page-size-huge", hello(func(m *WireMsg) { m.PageSize = MaxWirePageSize * 2 }), "page size"},
 		{"unknown-wire", hello(func(m *WireMsg) { m.Wire = "protobuf" }), "wire format"},
-	} {
+	}
+}
+
+func TestCheckHello(t *testing.T) {
+	for _, tc := range helloCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			err := CheckHello(tc.m)
 			if tc.want == "" {
