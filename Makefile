@@ -7,8 +7,9 @@
 # model-checking of the litmus kernels, plus the negative fixture that
 # must diverge), suggest (tmilint's static repair solver run on the broken
 # fixtures, its repair sets applied by tmimc and certified SC-equivalent
-# and race-free), fuzz (the frame reader and the hello check, the only
-# doors samples enter tmid by, each fuzzed for 10 s), benchgate (every
+# and race-free), fuzz (the frame reader, the hello check and the
+# /v1/import migration-stream reader, the doors samples enter tmid by,
+# each fuzzed for 10 s), benchgate (every
 # wall-clock-free paper table must stay byte-identical to its committed
 # golden), backends (cross-backend repair
 # parity plus the two-socket policy-table sweep), serve-smoke (a
@@ -139,13 +140,15 @@ allocgate:
 	$(GO) test -run 'SteadyStateDoesNotAllocate' -count 1 ./internal/toolio ./internal/service
 
 # fuzz runs each wire-boundary fuzz target for 10 s: the binary frame
-# reader (every sample and tick tmid ingests) and the hello decode + check.
-# A crasher lands in internal/toolio/testdata/fuzz/ and is committed there
-# as a regression seed, so plain `go test` replays it from then on.
+# reader (every sample and tick tmid ingests), the hello decode + check,
+# and the migration-stream reader behind /v1/import. A crasher lands in
+# the package's testdata/fuzz/ and is committed there as a regression
+# seed, so plain `go test` replays it from then on.
 fuzz:
 	@for f in FuzzBinReader FuzzHello; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s -parallel 2 ./internal/toolio || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzMigrationStream$$' -fuzztime 10s -parallel 2 ./internal/service
 
 vet:
 	$(GO) vet ./...

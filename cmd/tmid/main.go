@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -81,7 +80,7 @@ func main() {
 	}
 	fmt.Printf("tmid: listening on %s (%d shards, queue %d, ttl %s)\n", bound, *shards, *queue, *ttl)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := service.NewHTTPServer(srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

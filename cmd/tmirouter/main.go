@@ -14,16 +14,16 @@
 //	tmirouter -addr 127.0.0.1:0 -addr-file a
 //
 // Endpoints: POST /v1/stream (relayed), GET /healthz, GET /metrics
-// (router counters + whitelisted per-node aggregation), GET /admin/ring,
-// POST /admin/{add,remove,drain}?node=URL, POST /admin/reload (JSON node
-// list). SIGINT/SIGTERM exit after closing the listener.
+// (the router's own series; scrape node series from the nodes that
+// /admin/ring lists), GET /admin/ring, POST /admin/{add,remove,drain}?node=URL,
+// POST /admin/reload (JSON node list). SIGINT/SIGTERM exit after closing
+// the listener.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/service"
 )
 
 // readNodesFile parses one node URL per line, '#' comments and blanks
@@ -105,7 +106,7 @@ func main() {
 	fmt.Printf("tmirouter: listening on %s, %d nodes (vnodes %d, bound %.2f, probe %s)\n",
 		boundAddr, len(nodes), *vnodes, *bound, *probe)
 
-	hs := &http.Server{Handler: rt.Handler()}
+	hs := service.NewHTTPServer(rt.Handler())
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

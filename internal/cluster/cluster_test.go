@@ -285,8 +285,8 @@ func TestKillMidStreamIsRetryable(t *testing.T) {
 }
 
 // TestRouterAdminAndMetrics covers the operator surface: ring snapshots,
-// membership edits over HTTP, config reload, and the aggregated metrics
-// exposition.
+// membership edits over HTTP, config reload, and the metrics exposition
+// with its nodes gone.
 func TestRouterAdminAndMetrics(t *testing.T) {
 	log := syntheticLog()
 	lc := newLocal(t, 2, Config{ProbeInterval: -1})
@@ -309,23 +309,23 @@ func TestRouterAdminAndMetrics(t *testing.T) {
 		t.Fatalf("ring info %+v, want 2 alive nodes", info)
 	}
 
-	resp, err = http.Get(lc.RouterURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
+	text := scrapeMetrics(t, lc.RouterURL)
 	for _, want := range []string{
 		"tmirouter_streams_total 1",
 		"tmirouter_ticks_relayed_total " + fmt.Sprint(len(log.Windows)),
 		"tmirouter_ring_generation",
 		"tmirouter_migration_ms_bucket",
-		`tmid_sessions_active{node="` + lc.NodeURLs()[0] + `"}`, // aggregated node scrape
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	// The router renders only its own series: with every node dead it
+	// still answers, and it never carries a node's tmid_ series.
+	lc.Kill(0)
+	lc.Kill(1)
+	if text := scrapeMetrics(t, lc.RouterURL); strings.Contains(text, "tmid_") {
+		t.Errorf("router metrics carry node series:\n%s", text)
 	}
 
 	// Drain via admin API bumps the generation; reload replaces membership.

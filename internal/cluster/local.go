@@ -58,7 +58,7 @@ func NewLocal(n int, scfg service.Config, rcfg Config) (*Local, error) {
 		return nil, err
 	}
 	lc.RouterURL = "http://" + ln.Addr().String()
-	lc.routerHS = &http.Server{Handler: lc.Router.Handler()}
+	lc.routerHS = service.NewHTTPServer(lc.Router.Handler())
 	go lc.routerHS.Serve(ln)
 	return lc, nil
 }
@@ -77,7 +77,7 @@ func (lc *Local) startNode(nodeID string) (*localNode, error) {
 	node := &localNode{
 		url: "http://" + ln.Addr().String(),
 		srv: srv,
-		hs:  &http.Server{Handler: srv.Handler()},
+		hs:  service.NewHTTPServer(srv.Handler()),
 	}
 	go node.hs.Serve(ln)
 	lc.mu.Lock()

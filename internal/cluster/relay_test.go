@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func postStream(t *testing.T, base, tenant string, body []byte) (int, []*toolio.
 // same wire error through the router as from a node directly — the same
 // text and the same non-retryable hint. Framing errors are caught by the
 // relay's own frame check; a bad column is caught by the node and relayed
-// verbatim at the next tick.
+// verbatim at the next tick, as is a tick whose interval the node refuses.
 func TestRelayMalformedBodyMatchesDirect(t *testing.T) {
 	lc := newLocal(t, 1, Config{ProbeInterval: -1})
 
@@ -48,6 +49,9 @@ func TestRelayMalformedBodyMatchesDirect(t *testing.T) {
 	tick := toolio.WireTick{K: toolio.WireTickKind, Seq: 0, IntervalSec: 0.1, Period: 100}
 	good := windowFrames(t, &cols, tick)
 	samplesLen := len(good) - (8 + 24)
+	hostileTick := func(interval float64) toolio.WireTick {
+		return toolio.WireTick{K: toolio.WireTickKind, IntervalSec: interval, Period: 100}
+	}
 	corrupt := func(mut func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		mut(b)
@@ -71,6 +75,9 @@ func TestRelayMalformedBodyMatchesDirect(t *testing.T) {
 		{"hostile-tid-column", corrupt(func(b []byte) {
 			binary.LittleEndian.PutUint32(b[8+4:], 1<<31)
 		}), "tid out of range"},
+		{"tick-nan", windowFrames(t, &cols, hostileTick(math.NaN())), "interval"},
+		{"tick-inf", windowFrames(t, &cols, hostileTick(math.Inf(1))), "interval"},
+		{"tick-subnormal", windowFrames(t, &cols, hostileTick(5e-324)), "interval"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var replies [2]*toolio.WireMsg
@@ -113,7 +120,7 @@ func TestNDJSONHelloRefusedThroughRouter(t *testing.T) {
 // over successful migrations only, whatever noop and failed attempts took,
 // and the window keeps only the most recent successes.
 func TestMigrationStatsExactQuantiles(t *testing.T) {
-	rt := &Router{metrics: newRouterMetrics(time.Now)}
+	rt := &Router{metrics: newRouterMetrics()}
 	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 	// 100 successes of 1..100 ms, shuffled by a fixed stride, interleaved
 	// with slow noop and failed attempts that must not count.
@@ -139,7 +146,7 @@ func TestMigrationStatsExactQuantiles(t *testing.T) {
 	if got := rt.MigrationStats(); got.P50ms != 2 || got.P99ms != 2 {
 		t.Errorf("after a full window of 2 ms: p50 %v p99 %v, want 2 and 2", got.P50ms, got.P99ms)
 	}
-	if empty := (&Router{metrics: newRouterMetrics(time.Now)}).MigrationStats(); empty.P50ms != 0 || empty.P99ms != 0 {
+	if empty := (&Router{metrics: newRouterMetrics()}).MigrationStats(); empty.P50ms != 0 || empty.P99ms != 0 {
 		t.Errorf("no migrations: %+v, want zero quantiles", empty)
 	}
 }

@@ -108,7 +108,7 @@ func New(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:       cfg,
-		metrics:   newRouterMetrics(cfg.now),
+		metrics:   newRouterMetrics(),
 		members:   map[string]*member{},
 		stopProbe: make(chan struct{}),
 		probeDone: make(chan struct{}),

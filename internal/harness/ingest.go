@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -68,7 +67,7 @@ func ingestExp(o *Options) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := service.NewHTTPServer(srv.Handler())
 	go hs.Serve(ln)
 	defer func() {
 		hs.Close()

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -66,6 +65,24 @@ func (st *stream) convert(cols *toolio.SampleColumns) []detect.Sample {
 		}
 	}
 	return samples
+}
+
+// Connection timeouts of every tmid and tmirouter listener. A client must
+// send its whole request header within readHeaderTimeout, so a stalled or
+// slow client cannot hold a connection before its request even starts.
+// idleTimeout outlasts the 90 s IdleConnTimeout of net/http's default
+// transport, which Client and the router use, so the client side always
+// closes an idle keep-alive connection first. There is no read or write
+// timeout: a stream stays open for as long as its client keeps sending.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// NewHTTPServer returns the http.Server every tmid and tmirouter listener
+// serves h with.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // handleStream serves POST /v1/stream: an NDJSON hello, then sample/tick
@@ -214,8 +231,8 @@ func (s *Server) enqueueSamples(st *stream, samples []detect.Sample, fail func(t
 // handleTick validates and enqueues one window-closing tick, then writes
 // the advice reply back.
 func (s *Server) handleTick(w http.ResponseWriter, st *stream, tick toolio.WireTick, fail func(toolio.WireError), flush func()) bool {
-	if tick.IntervalSec <= 0 || tick.Period < 1 {
-		fail(toolio.WireError{Error: fmt.Sprintf("tick seq %d: interval and period must be positive", tick.Seq)})
+	if err := toolio.CheckTick(tick); err != nil {
+		fail(toolio.WireError{Error: err.Error()})
 		return false
 	}
 	j := job{tenant: st.tenant, pageSize: st.pageSize, tick: &tick, reply: st.reply, enqueued: s.cfg.now()}

@@ -123,8 +123,8 @@ func readMigrationStream(br *bufio.Reader, maxFrame, maxRecords int) (tenant str
 				})
 			}
 		case toolio.WireTickKind[0]:
-			if fr.Tick.IntervalSec <= 0 || fr.Tick.Period < 1 {
-				return "", nil, fmt.Errorf("migration stream window %d: interval and period must be positive", len(log.Windows))
+			if err := toolio.CheckTick(fr.Tick); err != nil {
+				return "", nil, err
 			}
 			log.TapWindow(fr.Tick.IntervalSec, fr.Tick.Period)
 		}

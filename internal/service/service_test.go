@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -504,5 +505,45 @@ func TestShardRoutingIsStable(t *testing.T) {
 	}
 	if len(spread) < 4 {
 		t.Errorf("64 tenants landed on only %d of 8 shards", len(spread))
+	}
+}
+
+// TestSlowHeaderClientIsDisconnected: a client that sends half a request
+// line and stalls is cut off once the header timeout passes. The server
+// keeps no read or write timeout (streams are long-lived), and its idle
+// timeout outlasts the default transport's, so a client closes an idle
+// connection before the server does.
+func TestSlowHeaderClientIsDisconnected(t *testing.T) {
+	srv := New(Config{Shards: 1})
+	hs := NewHTTPServer(srv.Handler())
+	if idle := http.DefaultTransport.(*http.Transport).IdleConnTimeout; hs.IdleTimeout <= idle {
+		t.Errorf("IdleTimeout %s, want more than the default transport's %s", hs.IdleTimeout, idle)
+	}
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("timeouts: header %s read %s write %s, want only a header timeout", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout)
+	}
+	hs.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Drain()
+	})
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/str")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("server still holds a connection stalled mid request line after 5 s")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/raceflag"
+	"repro/internal/sim/trace"
 	"repro/internal/toolio"
 )
 
@@ -104,11 +106,75 @@ func TestHostileQuadsAnswerWireError(t *testing.T) {
 	}
 }
 
+// hostileIntervals are tick intervals toolio.CheckTick refuses. An
+// "interval <= 0" check lets all three through: NaN compares false, +Inf
+// is positive, and 5e-324 is positive but makes the detector's rate
+// estimate +Inf, which panics the advice encoder mid-stream.
+var hostileIntervals = map[string]float64{
+	"nan":       math.NaN(),
+	"+inf":      math.Inf(1),
+	"subnormal": 5e-324,
+}
+
+// hostileTickLog is one window of two threads writing adjacent words of a
+// line, closed by a tick of the given interval.
+func hostileTickLog(interval float64) *trace.SampleLog {
+	log := &trace.SampleLog{PageSize: 4096}
+	for i := 0; i < 64; i++ {
+		log.TapSample(detect.Sample{TID: i % 2, Addr: 0x10000 + uint64(i%2)*8, Width: 8, Write: true})
+	}
+	log.TapWindow(interval, 100)
+	return log
+}
+
+// TestImportHostileTickInstallsNothing: a migration stream whose window
+// has a hostile interval gets a 400 from /v1/import, never a handler
+// panic, and installs no session.
+func TestImportHostileTickInstallsNothing(t *testing.T) {
+	srv, hs := newTestServer(t, Config{Shards: 1, Migratable: true})
+	for name, interval := range hostileIntervals {
+		t.Run(name, func(t *testing.T) {
+			var stream bytes.Buffer
+			if err := writeMigrationStream(&stream, "import-"+name, hostileTickLog(interval)); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(hs.URL+"/v1/import", "application/octet-stream", &stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "interval") {
+				t.Fatalf("import: status %d %q, want 400 about the interval", resp.StatusCode, reply)
+			}
+			if info := srv.Inspect("import-" + name); info.Exists {
+				t.Fatalf("hostile import installed a session: %+v", info)
+			}
+		})
+	}
+}
+
 // TestBinaryStreamEdgeCasesOverHTTP round-trips the malformed-frame table
-// through the real HTTP surface: every case must come back as a WireError
-// line on a 200 stream (the hello was fine), never a hang or a panic.
+// and the hostile ticks through the real HTTP surface: every case must
+// come back as a non-retryable WireError line on a 200 stream (the hello
+// was fine), never a hang or a panic.
 func TestBinaryStreamEdgeCasesOverHTTP(t *testing.T) {
 	_, hs := newTestServer(t, Config{Shards: 1})
+
+	// tickWindow is hostileTickLog's window as frames: samples, then the
+	// tick.
+	tickWindow := func(interval float64) []byte {
+		var buf bytes.Buffer
+		bw := toolio.NewBinWriter(&buf)
+		var cols toolio.SampleColumns
+		if err := writeSampleFrames(bw, &cols, hostileTickLog(interval).Samples, DefaultBatchRecords); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.WriteTick(toolio.WireTick{K: toolio.WireTickKind, IntervalSec: interval, Period: 100}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 
 	goodFrame := func() []byte {
 		var buf bytes.Buffer
@@ -140,6 +206,9 @@ func TestBinaryStreamEdgeCasesOverHTTP(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[8+4:], 1<<31)
 			return b
 		}(), "tid", false},
+		{"tick-nan", tickWindow(hostileIntervals["nan"]), "interval", false},
+		{"tick-inf", tickWindow(hostileIntervals["+inf"]), "interval", false},
+		{"tick-subnormal", tickWindow(hostileIntervals["subnormal"]), "interval", false},
 		{"clean-eof", goodFrame, "", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,8 +223,8 @@ func TestBinaryStreamEdgeCasesOverHTTP(t *testing.T) {
 				}
 				return
 			}
-			if len(msgs) != 1 || msgs[0].K != toolio.WireErrorKind || !strings.Contains(msgs[0].Error, tc.want) {
-				t.Fatalf("reply %+v, want wire error mentioning %q", msgs, tc.want)
+			if len(msgs) != 1 || msgs[0].K != toolio.WireErrorKind || !strings.Contains(msgs[0].Error, tc.want) || msgs[0].RetryMs != 0 {
+				t.Fatalf("reply %+v, want a non-retryable wire error mentioning %q", msgs, tc.want)
 			}
 		})
 	}

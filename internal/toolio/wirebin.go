@@ -119,6 +119,24 @@ func CheckHello(m *WireMsg) error {
 	return nil
 }
 
+// MinWireIntervalSec is the shortest analysis window a tick may close. No
+// real window is shorter, and a tiny one such as the subnormal 5e-324
+// turns the detector's records*period/interval rate estimate into +Inf,
+// which advice cannot encode.
+const MinWireIntervalSec = 1e-9
+
+// CheckTick validates a decoded tick: a finite interval of at least
+// MinWireIntervalSec and a period of at least 1.
+func CheckTick(t WireTick) error {
+	if !(t.IntervalSec >= MinWireIntervalSec) || math.IsInf(t.IntervalSec, 1) {
+		return fmt.Errorf("toolio: tick seq %d: interval %g s is not a finite number of at least 1 ns", t.Seq, t.IntervalSec)
+	}
+	if t.Period < 1 {
+		return fmt.Errorf("toolio: tick seq %d: period %d is below 1", t.Seq, t.Period)
+	}
+	return nil
+}
+
 // SampleColumns is a columnar sample batch: the decoded form of one binary
 // samples frame, and the encoder's input. All four slices share one length.
 type SampleColumns struct {

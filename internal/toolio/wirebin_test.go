@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -239,6 +240,40 @@ func TestCheckHello(t *testing.T) {
 			if tc.want == "" {
 				if err != nil {
 					t.Errorf("valid hello rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+func TestCheckTick(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		interval float64
+		period   int
+		want     string
+	}{
+		{"ok", 0.1, 100, ""},
+		{"ok-1ns", 1e-9, 1, ""},
+		{"nan", math.NaN(), 100, "interval"},
+		{"+inf", math.Inf(1), 100, "interval"},
+		{"-inf", math.Inf(-1), 100, "interval"},
+		{"subnormal", 5e-324, 100, "interval"},
+		{"below-1ns", 1e-10, 100, "interval"},
+		{"zero", 0, 100, "interval"},
+		{"negative", -0.1, 100, "interval"},
+		{"period-zero", 0.1, 0, "period"},
+		{"period-negative", 0.1, -4, "period"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckTick(WireTick{K: WireTickKind, Seq: 3, IntervalSec: tc.interval, Period: tc.period})
+			if tc.want == "" {
+				if err != nil {
+					t.Errorf("valid tick rejected: %v", err)
 				}
 				return
 			}
