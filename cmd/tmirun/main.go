@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +37,7 @@ var systems = map[string]tmi.System{
 func main() {
 	var (
 		name       = flag.String("workload", "histogramfs", "workload name (see -list)")
-		system     = flag.String("system", "tmi-protect", "pthreads|tmi-alloc|tmi-detect|tmi-protect|sheriff-detect|sheriff-protect|laser")
+		system     = flag.String("system", "tmi-protect", "pthreads|tmi-alloc|tmi-detect|tmi-protect|sheriff-detect|sheriff-protect|laser|plastic")
 		threads    = flag.Int("threads", 0, "override thread count")
 		period     = flag.Int("period", 100, "perf sampling period")
 		huge       = flag.Bool("hugepages", false, "back shared memory with 2 MiB pages")
@@ -86,6 +87,9 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tmirun:", err)
+		if errors.Is(err, tmi.ErrConfig) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 

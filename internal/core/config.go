@@ -1,12 +1,13 @@
 // Package core wires the substrates into runnable systems: the pthreads
 // baseline, TMI's three modes (alloc / detect / protect), Sheriff's
-// threads-as-processes design and LASER's software-store-buffer repair, all
-// running the same workloads on the same simulated machine. It is the
-// engine behind the public tmi package and every experiment in the paper's
-// evaluation.
+// threads-as-processes design, and LASER's and Plastic's line-granular
+// repairs, all running the same workloads on the same simulated machine.
+// It is the engine behind the public tmi package and every experiment in
+// the paper's evaluation.
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim/machine"
@@ -94,7 +95,9 @@ type Config struct {
 	// RepairBackend selects the repair strategy for TMIProtect runs: ""
 	// or "t2p" (the paper's T2P+PTSB mechanism), "pad" (allocator
 	// re-segregation), "map" (thread-and-data mapping), or "tmebox"
-	// (fork-free keyed isolation). See internal/repair.
+	// (fork-free keyed isolation). See internal/repair. Other setups
+	// refuse a non-empty value (LASER and Plastic repair through their
+	// own backends).
 	RepairBackend string
 	// Sockets splits the cores across that many sockets with a home-node
 	// directory and remote-socket latency penalties (cache.Topology). 0 or
@@ -176,6 +179,11 @@ func (c Config) withDefaults() Config {
 // synchronization) Sheriff is incompatible, as the paper observes for most
 // of the suite.
 const SheriffMaxFootprintMB = 100
+
+// ErrConfig wraps every refusal of a Config that is wrong whatever the
+// workload: an unknown repair backend, or one given to a setup that does
+// not take it.
+var ErrConfig = errors.New("core: invalid config")
 
 // ErrIncompatible reports that a system cannot run a workload at all.
 type ErrIncompatible struct {

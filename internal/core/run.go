@@ -33,30 +33,6 @@ const (
 	StackBase uint64 = 0x7ff0_0000_0000
 )
 
-// LASER's software store buffer changes the cost of accesses to repaired
-// lines: a buffered store costs a fixed instrumentation overhead plus a
-// fraction of the native coherence latency (the buffer absorbs most but not
-// all of the line's round trips — flushes at TSO boundaries keep some); a
-// load pays an instrumentation check. Better than a HITM miss, far worse
-// than a private L1 hit — which is why LASER captures only a fraction of
-// the manual speedup and can even slow lightly-contended code down.
-const (
-	LaserStoreFixed   = 55
-	LaserStoreLatFrac = 0.3
-	LaserLoadOverhead = 15
-)
-
-// Plastic's cost model: dynamic binary instrumentation taxes every memory
-// access a few cycles program-wide (the paper reports ~6% overhead without
-// contention), and its byte-granularity remapping makes repaired-line
-// accesses hit a translation layer — cheaper than a HITM round trip, far
-// costlier than a private hit, capturing roughly a third of the manual
-// benefit where its repair activates.
-const (
-	PlasticDBIOverhead = 3  // cycles per memory access, program-wide
-	PlasticRemapCost   = 90 // net cost of an access to a remapped line
-)
-
 // BulkFaultCompression corrects one-time costs for the reproduction's
 // compressed timescale: workload runs are ~500x shorter than the paper's
 // minute-long executions, so one-time page-fault costs over multi-GB inputs
@@ -82,21 +58,17 @@ type runtime struct {
 	ptsbE      *ptsb.Engine
 	cccCtl     *ccc.Controller
 	repairE    *repair.Engine
-	// backend is the repair strategy servicing detector requests; the
-	// default is repairE itself (the t2p backend). backendCost is non-nil
-	// only when the backend imposes a per-access cost after engaging.
+	// backend is the repair strategy servicing detector requests when
+	// repairs is set; otherwise it is repairE, standing in for the stats.
+	// backendCost is non-nil only when the backend imposes a per-access
+	// cost.
 	backend     repair.Backend
 	backendCost repair.AccessCoster
+	repairs     bool
 	mon         *perfev.Monitor
 	det         *detect.Detector
 	maps        *osim.AddressMap
 	san         *sanitizer
-
-	laserEnabled   bool
-	laserRepaired  bool
-	laserLines     map[uint64]bool
-	plasticLines   map[uint64]bool
-	plasticEngaged bool
 
 	// teardown extension state: per protected page, the merged-byte count
 	// at the last tick and how many ticks it has been unchanged.
@@ -138,6 +110,13 @@ func Run(w workload.Workload, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("core: workload %s declares no threads", w.Name())
 	}
 
+	if cfg.RepairBackend != "" && cfg.Setup != TMIProtect {
+		return nil, fmt.Errorf("%w: repair backend %q is for tmi-protect; %s does not take one",
+			ErrConfig, cfg.RepairBackend, cfg.Setup)
+	}
+	if err := repair.CheckBackend(cfg.RepairBackend); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
 	if cfg.Setup.IsSheriff() {
 		if reason := sheriffIncompatibility(info); reason != "" {
 			return nil, &ErrIncompatible{System: cfg.Setup.String(), Workload: w.Name(), Reason: reason}
@@ -180,8 +159,6 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	rt := &runtime{
 		cfg: cfg, info: info, threads: threads,
 		notes: make(map[string]float64), hangs: make(map[int]string),
-		laserLines:   make(map[uint64]bool),
-		plasticLines: make(map[uint64]bool),
 	}
 	rt.memory = mem.NewMemory(pageSize)
 	rt.osys = osim.New(rt.memory)
@@ -228,27 +205,31 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 	rt.ptsbE = ptsb.NewEngine(rt.memory, rt.sharedView)
 	cccEnabled := cfg.Setup.IsTMI() && !cfg.DisableCCC
 	rt.cccCtl = ccc.NewController(cccEnabled, rt.sharedView, rt.ptsbE)
-	rt.repairE = repair.New(rt.osys, rt.app, rt.mc, rt.ptsbE)
+	rt.repairE = repair.New(rt.osys, rt.app, rt.ptsbE)
 	rt.repairE.Everywhere = cfg.PTSBEverywhere
 	rt.repairE.HeapPages = rt.heapPages
-	// Strategy selection: repairE (t2p) stays the engine behind Sheriff
-	// and ForceProtect regardless; rt.backend is what detector requests
-	// are dispatched to.
-	switch cfg.RepairBackend {
-	case "", repair.BackendT2P:
-		rt.backend = rt.repairE
-	case repair.BackendPad:
-		rt.backend = repair.NewPad(rt.mc, rt.sharedView, rt.al)
-	case repair.BackendMap:
-		rt.backend = repair.NewMapping(rt.mc, rt.sharedView)
-	case repair.BackendTMEBox:
-		rt.backend = repair.NewTMEBox(rt.app, rt.mc, rt.ptsbE)
+	// Strategy selection: tmi-protect repairs through the configured
+	// backend, LASER and Plastic through their own. repairE (t2p) stays the
+	// engine behind Sheriff and ForceProtect regardless.
+	rt.backend, rt.repairs = rt.repairE, true
+	switch cfg.Setup {
+	case TMIProtect:
+		switch cfg.RepairBackend {
+		case repair.BackendPad:
+			rt.backend = repair.NewPad(rt.mc, rt.sharedView, rt.al)
+		case repair.BackendMap:
+			rt.backend = repair.NewMapping(rt.mc, rt.sharedView)
+		case repair.BackendTMEBox:
+			rt.backend = repair.NewTMEBox(rt.app, rt.ptsbE)
+		}
+	case LASER:
+		rt.backend = repair.NewLaser(info.SyncHeavy)
+	case Plastic:
+		rt.backend = repair.NewPlastic()
 	default:
-		return nil, repair.ErrUnknownBackend(cfg.RepairBackend)
+		rt.repairs = false
 	}
-	if c, ok := rt.backend.(repair.AccessCoster); ok {
-		rt.backendCost = c
-	}
+	rt.backendCost, _ = rt.backend.(repair.AccessCoster)
 
 	if cfg.Setup.Monitors() {
 		rt.mon = perfev.NewMonitor(threads, cfg.Period, cfg.Seed)
@@ -304,30 +285,14 @@ func build(w workload.Workload, cfg Config, info workload.Info, threads int) (*r
 		interval := int64(cfg.DetectIntervalSec * cache.ClockHz)
 		rt.mc.AddTimer(interval, interval, rt.detectTick)
 	}
-	rt.laserEnabled = cfg.Setup == LASER && !info.SyncHeavy
 
-	// Sheriff: processes from startup, PTSB over all of memory.
-	if cfg.Setup.IsSheriff() {
-		if err := rt.repairE.ConvertAllNow(0); err != nil {
-			return nil, fmt.Errorf("core: sheriff convert: %w", err)
-		}
-		for _, p := range rt.heapPages() {
-			if err := rt.ptsbE.Protect(p, rt.repairE.Spaces()); err != nil {
-				return nil, fmt.Errorf("core: sheriff protect: %w", err)
-			}
-		}
-	}
-	// ForceProtect arms the PTSB over the whole heap from startup while
-	// keeping the TMI environment (CCC on, no monitors under TMIAlloc) —
-	// how the model checker exercises page twinning deterministically.
-	if cfg.ForceProtect && cfg.Setup.IsTMI() {
-		if err := rt.repairE.ConvertAllNow(0); err != nil {
-			return nil, fmt.Errorf("core: force convert: %w", err)
-		}
-		for _, p := range rt.heapPages() {
-			if err := rt.ptsbE.Protect(p, rt.repairE.Spaces()); err != nil {
-				return nil, fmt.Errorf("core: force protect: %w", err)
-			}
+	// Sheriff runs processes from startup with the PTSB over all of memory.
+	// ForceProtect does the same while keeping the TMI environment (CCC on,
+	// no monitors under TMIAlloc) — how the model checker exercises page
+	// twinning deterministically.
+	if cfg.Setup.IsSheriff() || (cfg.ForceProtect && cfg.Setup.IsTMI()) {
+		if err := rt.repairE.ArmAll(0); err != nil {
+			return nil, fmt.Errorf("core: protect all: %w", err)
 		}
 	}
 	return rt, nil
@@ -434,23 +399,7 @@ func (rt *runtime) postAccess(t *machine.Thread, acc *machine.Access, res cache.
 		extra += rt.mon.Sampler().OnHITM(t.ID, t.Core, acc.PC, acc.Addr, acc.Size, acc.Write, t.Clock())
 	}
 	if rt.backendCost != nil {
-		extra += rt.backendCost.AccessCost(t)
-	}
-	if rt.laserRepaired {
-		line := acc.Addr &^ uint64(cache.LineSize-1)
-		if rt.laserLines[line] {
-			if acc.Write {
-				extra += LaserStoreFixed + int64(LaserStoreLatFrac*float64(res.Latency)) - res.Latency
-			} else {
-				extra += LaserLoadOverhead
-			}
-		}
-	}
-	if rt.cfg.Setup == Plastic {
-		extra += PlasticDBIOverhead
-		if rt.plasticEngaged && rt.plasticLines[acc.Addr&^uint64(cache.LineSize-1)] && res.Latency > PlasticRemapCost {
-			extra += PlasticRemapCost - res.Latency
-		}
+		extra += rt.backendCost.AccessCost(t, acc, res)
 	}
 	return extra
 }
@@ -513,7 +462,7 @@ func (rt *runtime) detectTick(now int64) {
 	if rt.cfg.AdaptivePeriod {
 		rt.adaptPeriod(rt.det.TotalRecords - recordsBefore)
 	}
-	if rt.cfg.TeardownIdleIntervals > 0 && rt.backend.Converted() {
+	if rt.cfg.TeardownIdleIntervals > 0 && len(rt.backend.Spaces()) > 0 {
 		rt.maybeTeardown(now)
 	}
 	defer rt.sampleInterval(now)
@@ -530,74 +479,15 @@ func (rt *runtime) detectTick(now int64) {
 			rt.tracer.Record(now, -1, trace.KindRepair, p)
 		}
 	}
-	switch rt.cfg.Setup {
-	case TMIProtect:
-		wasConverted := rt.backend.Converted()
-		before := rt.ptsbE.ProtectedPages()
-		bstBefore := rt.backend.BackendStats()
-		if err := rt.backend.Arm(req, now); err != nil {
-			// Satellite: a failed repair is a stat and an event, not a
-			// crashed simulation — the workload keeps running unrepaired.
-			rt.notes["repair.failed"]++
-			rt.logEvent(now, "repair(%s): failed: %v", rt.backend.Name(), err)
-		}
-		if !wasConverted && rt.backend.Converted() {
-			switch rt.backend.Name() {
-			case repair.BackendT2P:
-				rt.logEvent(now, "PM: stop-the-world; %d thread(s) converted to processes (T2P %v us)",
-					len(rt.repairE.Spaces()), formatMicros(rt.repairE.T2PMicros()))
-			case repair.BackendTMEBox:
-				rt.logEvent(now, "tmebox: %d isolation domain(s) keyed in-process (no fork)",
-					len(rt.backend.Spaces()))
-			case repair.BackendPad:
-				rt.logEvent(now, "pad: allocator switched to line-segregated placement")
-			}
-		}
-		bst := rt.backend.BackendStats()
-		if d := bst.LinesIsolated - bstBefore.LinesIsolated; d > 0 {
-			rt.logEvent(now, "pad: %d line(s) re-segregated onto private lines", d)
-		}
-		if d := bst.ThreadsMigrated - bstBefore.ThreadsMigrated; d > 0 {
-			rt.logEvent(now, "map: %d thread(s) migrated toward the hot page's home node", d)
-		}
-		if n := rt.ptsbE.ProtectedPages() - before; n > 0 {
-			rt.logEvent(now, "PTSB armed on %d page(s): %s", n, pageList(req.Pages))
-		}
-	case LASER:
-		if rt.laserEnabled {
-			for _, l := range req.Lines {
-				rt.laserLines[l.Line] = true
-			}
-			rt.laserRepaired = true
-			rt.logEvent(now, "LASER: software store buffer engaged for %d line(s)", len(req.Lines))
-		}
-	case Plastic:
-		for _, l := range req.Lines {
-			rt.plasticLines[l.Line] = true
-		}
-		rt.plasticEngaged = true
-		rt.logEvent(now, "Plastic: byte-granularity remapping engaged for %d line(s)", len(req.Lines))
+	if !rt.repairs {
+		return
 	}
-}
-
-func formatMicros(us []float64) []int {
-	out := make([]int, len(us))
-	for i, v := range us {
-		out[i] = int(v)
+	if err := rt.backend.Arm(req, now, rt.logEvent); err != nil {
+		// A failed repair is a stat and an event, not a crashed
+		// simulation — the workload keeps running unrepaired.
+		rt.notes["repair.failed"]++
+		rt.logEvent(now, "repair(%s): failed: %v", rt.backend.Name(), err)
 	}
-	return out
-}
-
-func pageList(pages []uint64) string {
-	var parts []string
-	for i, p := range pages {
-		if i == 4 {
-			parts = append(parts, "...")
-			break
-		}
-		parts = append(parts, fmt.Sprintf("0x%x", p))
-	}
-	return strings.Join(parts, " ")
 }
 
 // sampleInterval appends one timeline point (called from every detection
@@ -689,7 +579,7 @@ func (rt *runtime) execute(w workload.Workload) (*Report, error) {
 	bst := rt.backend.BackendStats()
 	rep.RepairBackend = bst.Backend
 	rep.BackendActivity = bst
-	rep.Repaired = bst.RepairEvents > 0 || rt.laserRepaired || rt.plasticEngaged || rt.cfg.Setup.IsSheriff()
+	rep.Repaired = bst.RepairEvents > 0
 	rep.RepairAtSec = float64(bst.ConvertedAtCycle) / cache.ClockHz
 	rep.T2PMicros = rt.repairE.T2PMicros()
 	rep.PagesProtected = bst.PagesProtected

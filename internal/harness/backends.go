@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"repro/internal/repair"
 	"repro/tmi"
 )
-
-// backendList is the sweep order of the pluggable repair strategies (the
-// repair package's registry; t2p is the paper's mechanism and the sweep's
-// reference).
-var backendList = []string{"t2p", "pad", "map", "tmebox"}
 
 // residualRate is the final detection interval's HITM rate — the
 // contention the backend failed to remove.
@@ -24,17 +20,18 @@ func residualRate(rep *tmi.Report) float64 {
 func backendActivity(rep *tmi.Report) string {
 	a := rep.BackendActivity
 	switch rep.RepairBackend {
-	case "pad":
+	case repair.BackendPad:
 		return fmt.Sprintf("%d lines", a.LinesIsolated)
-	case "map":
+	case repair.BackendMap:
 		return fmt.Sprintf("%d moved", a.ThreadsMigrated)
 	default:
 		return fmt.Sprintf("%d pages", a.PagesProtected)
 	}
 }
 
-// backendsExp sweeps workload x repair backend on the two-socket NUMA
-// machine (remote-socket HITM and fill penalties active) and renders the
+// backendsExp sweeps workload x repair backend (repair.BackendNames, t2p
+// first as the paper's mechanism) on the two-socket NUMA machine
+// (remote-socket HITM and fill penalties active) and renders the
 // per-workload policy table: which strategy repairs each workload best,
 // what it costs, and how much contention it leaves behind.
 func backendsExp(o *Options) error {
@@ -58,14 +55,14 @@ func backendsExp(o *Options) error {
 			base: o.submit(fsWorkload(name), tmi.Config{System: tmi.Pthreads, Sockets: sockets}),
 			byB:  map[string]*cell{},
 		}
-		for _, b := range backendList {
+		for _, b := range repair.BackendNames {
 			rows[i].byB[b] = o.submit(fsWorkload(name),
 				tmi.Config{System: tmi.TMIProtect, RepairBackend: b, Sockets: sockets})
 		}
 	}
 
 	fmt.Fprintf(o.Out, "%-14s", "workload")
-	for _, b := range backendList {
+	for _, b := range repair.BackendNames {
 		fmt.Fprintf(o.Out, " %9s", b)
 	}
 	fmt.Fprintf(o.Out, "   %-8s %s\n", "best", "best backend activity / residual HITM/s")
@@ -79,7 +76,7 @@ func backendsExp(o *Options) error {
 		fmt.Fprintf(o.Out, "%-14s", name)
 		bestName, bestSpeed := "", 0.0
 		var bestRep *tmi.Report
-		for _, b := range backendList {
+		for _, b := range repair.BackendNames {
 			rep, err := rows[i].byB[b].mean()
 			if err != nil {
 				return err
@@ -98,7 +95,7 @@ func backendsExp(o *Options) error {
 	}
 
 	fmt.Fprintf(o.Out, "\npolicy table (workloads each backend repairs best):")
-	for _, b := range backendList {
+	for _, b := range repair.BackendNames {
 		fmt.Fprintf(o.Out, " %s=%d", b, wins[b])
 		o.Stat("repair_backends/wins_"+b, float64(wins[b]))
 	}

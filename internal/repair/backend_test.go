@@ -6,22 +6,20 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/detect"
+	"repro/internal/sim/cache"
 	"repro/internal/sim/machine"
 )
 
 func TestValidBackendNames(t *testing.T) {
-	if !ValidBackend("") {
+	if CheckBackend("") != nil {
 		t.Error("empty backend (default) must be valid")
 	}
 	for _, n := range BackendNames {
-		if !ValidBackend(n) {
+		if CheckBackend(n) != nil {
 			t.Errorf("registered backend %q rejected", n)
 		}
 	}
-	if ValidBackend("voodoo") {
-		t.Error("unknown backend accepted")
-	}
-	err := ErrUnknownBackend("voodoo")
+	err := CheckBackend("voodoo")
 	if err == nil || !strings.Contains(err.Error(), "voodoo") {
 		t.Errorf("error should name the offender: %v", err)
 	}
@@ -60,11 +58,11 @@ func TestPadIsolatesFlaggedPage(t *testing.T) {
 	pad := NewPad(f.mc, f.shared, al)
 	req := &detect.Request{Pages: []uint64{heapBase}}
 	before, after := pingPong(t, f, 600, 100, func(th *machine.Thread) {
-		if err := pad.Arm(req, th.Clock()); err != nil {
+		if err := pad.Arm(req, th.Clock(), quiet); err != nil {
 			t.Errorf("arm: %v", err)
 		}
 		// Same page again: counted, not re-charged.
-		if err := pad.Arm(req, th.Clock()); err != nil {
+		if err := pad.Arm(req, th.Clock(), quiet); err != nil {
 			t.Errorf("re-arm: %v", err)
 		}
 	})
@@ -74,10 +72,10 @@ func TestPadIsolatesFlaggedPage(t *testing.T) {
 	if after*20 > before {
 		t.Errorf("pad ineffective: %d HITM before, %d after", before, after)
 	}
-	if !pad.Converted() {
-		t.Error("pad should report converted after arming")
-	}
 	st := pad.BackendStats()
+	if st.ConvertedAtCycle == 0 {
+		t.Error("pad should record when it switched the allocator")
+	}
 	if st.Backend != BackendPad {
 		t.Errorf("stats name %q", st.Backend)
 	}
@@ -97,7 +95,7 @@ func TestPadUnmappedPageFails(t *testing.T) {
 	f := newFixture(t, 1)
 	al := alloc.New(alloc.TMIPolicy(), alloc.BackingSharedFile, nil, 4096)
 	pad := NewPad(f.mc, f.shared, al)
-	err := pad.Arm(&detect.Request{Pages: []uint64{0xdead_0000}}, 0)
+	err := pad.Arm(&detect.Request{Pages: []uint64{0xdead_0000}}, 0, quiet)
 	if err == nil {
 		t.Fatal("arming an unmapped page should fail")
 	}
@@ -114,7 +112,7 @@ func TestMappingMigratesToHomeCore(t *testing.T) {
 		Lines: []detect.LineReport{{Line: heapBase, EstEventsPerSec: 1e6}},
 	}
 	before, after := pingPong(t, f, 600, 100, func(th *machine.Thread) {
-		if err := mp.Arm(req, th.Clock()); err != nil {
+		if err := mp.Arm(req, th.Clock(), quiet); err != nil {
 			t.Errorf("arm: %v", err)
 		}
 	})
@@ -133,7 +131,7 @@ func TestMappingMigratesToHomeCore(t *testing.T) {
 		t.Errorf("stats %+v, want backend=map threadsMigrated=1", st)
 	}
 	// Co-residency is billed: each of the two threads pays for one peer.
-	if got := mp.AccessCost(f.mc.Thread(0)); got != LatCoShare {
+	if got := mp.AccessCost(f.mc.Thread(0), nil, cache.Result{}); got != LatCoShare {
 		t.Errorf("access cost %d, want %d", got, LatCoShare)
 	}
 }
@@ -141,7 +139,7 @@ func TestMappingMigratesToHomeCore(t *testing.T) {
 func TestMappingUnmappedPageFails(t *testing.T) {
 	f := newFixture(t, 1)
 	mp := NewMapping(f.mc, f.shared)
-	err := mp.Arm(&detect.Request{Pages: []uint64{0xdead_0000}}, 0)
+	err := mp.Arm(&detect.Request{Pages: []uint64{0xdead_0000}}, 0, quiet)
 	if err == nil {
 		t.Fatal("migrating toward an unmapped page should fail")
 	}
@@ -152,10 +150,10 @@ func TestMappingUnmappedPageFails(t *testing.T) {
 
 func TestTMEBoxKeysDomainsWithoutFork(t *testing.T) {
 	f := newFixture(t, 2)
-	box := NewTMEBox(f.app, f.mc, f.eng)
+	box := NewTMEBox(f.app, f.eng)
 	req := &detect.Request{Pages: []uint64{heapBase}}
 	before, after := pingPong(t, f, 600, 100, func(th *machine.Thread) {
-		if err := box.Arm(req, th.Clock()); err != nil {
+		if err := box.Arm(req, th.Clock(), quiet); err != nil {
 			t.Errorf("arm: %v", err)
 		}
 	})
@@ -164,9 +162,6 @@ func TestTMEBoxKeysDomainsWithoutFork(t *testing.T) {
 	}
 	if after*20 > before {
 		t.Errorf("tmebox ineffective: %d HITM before, %d after", before, after)
-	}
-	if !box.Converted() {
-		t.Fatal("domains should be keyed")
 	}
 	if got := len(box.Spaces()); got != 2 {
 		t.Fatalf("spaces %d, want one per thread", got)
@@ -194,7 +189,7 @@ func TestEngineHandleSurfacesProtectError(t *testing.T) {
 	var handleErr error
 	err := f.mc.Run([]func(*machine.Thread){func(th *machine.Thread) {
 		th.Work(10)
-		handleErr = f.rep.Handle(&detect.Request{Pages: []uint64{0xdead_0000}}, th.Clock())
+		handleErr = f.rep.Arm(&detect.Request{Pages: []uint64{0xdead_0000}}, th.Clock(), quiet)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +197,68 @@ func TestEngineHandleSurfacesProtectError(t *testing.T) {
 	if handleErr == nil {
 		t.Fatal("protecting an unmapped page must return an error, not panic")
 	}
-	if f.rep.Stats.FailedRepairs != 1 {
-		t.Errorf("failed repairs %d, want 1", f.rep.Stats.FailedRepairs)
+	if f.rep.BackendStats().FailedRepairs != 1 {
+		t.Errorf("failed repairs %d, want 1", f.rep.BackendStats().FailedRepairs)
+	}
+}
+
+// TestLineBackendsChargeFlaggedLines pins LASER's and Plastic's cost
+// model: nothing but Plastic's DBI tax before engagement, then the
+// store-buffer or remap cost on flagged lines only; a sync-heavy LASER
+// never engages.
+func TestLineBackendsChargeFlaggedLines(t *testing.T) {
+	const line = heapBase + 128
+	req := &detect.Request{Lines: []detect.LineReport{{Line: line}}}
+	store := &machine.Access{Addr: line + 8, Write: true}
+	load := &machine.Access{Addr: line + 8}
+	other := &machine.Access{Addr: line + cache.LineSize, Write: true}
+	hitm := cache.Result{Latency: 200}
+
+	las := NewLaser(false)
+	if got := las.AccessCost(nil, store, hitm); got != 0 {
+		t.Errorf("laser before engaging: cost %d, want 0", got)
+	}
+	var events []string
+	logf := func(now int64, format string, args ...any) { events = append(events, format) }
+	if err := las.Arm(req, 7, logf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := las.AccessCost(nil, store, hitm), int64(LaserStoreFixed+0.3*200-200); got != want {
+		t.Errorf("laser buffered store: cost %d, want %d", got, want)
+	}
+	if got := las.AccessCost(nil, load, hitm); got != LaserLoadOverhead {
+		t.Errorf("laser load: cost %d, want %d", got, LaserLoadOverhead)
+	}
+	if got := las.AccessCost(nil, other, hitm); got != 0 {
+		t.Errorf("laser unflagged line: cost %d, want 0", got)
+	}
+	st := las.BackendStats()
+	if st.Backend != BackendLASER || st.RepairEvents != 1 || st.LinesIsolated != 1 || st.ConvertedAtCycle != 7 || len(events) != 1 {
+		t.Errorf("laser stats %+v, events %q", st, events)
+	}
+
+	off := NewLaser(true)
+	if err := off.Arm(req, 7, logf); err != nil || off.BackendStats().RepairEvents != 0 || off.AccessCost(nil, store, hitm) != 0 {
+		t.Error("sync-heavy laser must stay off")
+	}
+
+	pl := NewPlastic()
+	if got := pl.AccessCost(nil, store, hitm); got != PlasticDBIOverhead {
+		t.Errorf("plastic before engaging: cost %d, want the DBI tax %d", got, PlasticDBIOverhead)
+	}
+	if err := pl.Arm(req, 9, logf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pl.AccessCost(nil, store, hitm), int64(PlasticDBIOverhead+PlasticRemapCost-200); got != want {
+		t.Errorf("plastic remapped line: cost %d, want %d", got, want)
+	}
+	if got := pl.AccessCost(nil, store, cache.Result{Latency: 4}); got != PlasticDBIOverhead {
+		t.Errorf("plastic fast access: cost %d, want the DBI tax only", got)
+	}
+	if got := pl.AccessCost(nil, other, hitm); got != PlasticDBIOverhead {
+		t.Errorf("plastic unflagged line: cost %d, want the DBI tax only", got)
+	}
+	if st := pl.BackendStats(); st.Backend != BackendPlastic || st.ConvertedAtCycle != 9 {
+		t.Errorf("plastic stats %+v", st)
 	}
 }

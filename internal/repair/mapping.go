@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/detect"
+	"repro/internal/sim/cache"
 	"repro/internal/sim/machine"
 	"repro/internal/sim/mem"
 )
@@ -41,13 +42,6 @@ func NewMapping(mc *machine.Machine, view *mem.AddrSpace) *Mapping {
 // Name implements Backend.
 func (m *Mapping) Name() string { return BackendMap }
 
-// Convert implements Backend: migration happens in Arm, keyed to the
-// flagged data, so there is no separate execution-model change.
-func (m *Mapping) Convert(now int64) error { return nil }
-
-// Converted implements Backend.
-func (m *Mapping) Converted() bool { return m.migrated }
-
 // Spaces implements Backend: mapping never remaps memory.
 func (m *Mapping) Spaces() []*mem.AddrSpace { return nil }
 
@@ -62,7 +56,7 @@ func (m *Mapping) BackendStats() BackendStats {
 // hottest flagged page. One migration per run: the first request names the
 // contention the detector found; later requests are counted but the
 // placement stands (re-shuffling threads per advice tick would thrash).
-func (m *Mapping) Arm(req *detect.Request, now int64) error {
+func (m *Mapping) Arm(req *detect.Request, now int64, logf Logf) error {
 	if req == nil || len(req.Pages) == 0 {
 		return nil
 	}
@@ -93,6 +87,9 @@ func (m *Mapping) Arm(req *detect.Request, now int64) error {
 	}
 	m.migrated = true
 	m.st.ConvertedAtCycle = now
+	if m.st.ThreadsMigrated > 0 {
+		logf(now, "map: %d thread(s) migrated toward the hot page's home node", m.st.ThreadsMigrated)
+	}
 	return nil
 }
 
@@ -124,7 +121,7 @@ func (m *Mapping) homeCore(req *detect.Request) (int, error) {
 
 // AccessCost implements AccessCoster: co-resident threads time-multiplex
 // the core's access ports.
-func (m *Mapping) AccessCost(t *machine.Thread) int64 {
+func (m *Mapping) AccessCost(t *machine.Thread, _ *machine.Access, _ cache.Result) int64 {
 	if !m.migrated {
 		return 0
 	}

@@ -48,13 +48,6 @@ func NewPad(mc *machine.Machine, view *mem.AddrSpace, al *alloc.Allocator) *Pad 
 // Name implements Backend.
 func (p *Pad) Name() string { return BackendPad }
 
-// Convert implements Backend: padding needs no execution-model change
-// beyond the policy switch, which Arm performs lazily.
-func (p *Pad) Convert(now int64) error { return nil }
-
-// Converted implements Backend.
-func (p *Pad) Converted() bool { return p.armed }
-
 // Spaces implements Backend: pad never remaps memory.
 func (p *Pad) Spaces() []*mem.AddrSpace { return nil }
 
@@ -65,8 +58,9 @@ func (p *Pad) BackendStats() BackendStats {
 	return st
 }
 
-// Arm re-segregates every flagged page the request carries.
-func (p *Pad) Arm(req *detect.Request, now int64) error {
+// Arm re-segregates every flagged page the request carries, switching the
+// allocator's policy on first use.
+func (p *Pad) Arm(req *detect.Request, now int64, logf Logf) error {
 	if req == nil || len(req.Pages) == 0 {
 		return nil
 	}
@@ -76,9 +70,11 @@ func (p *Pad) Arm(req *detect.Request, now int64) error {
 		p.al.SetPolicy(alloc.PaddedPolicy())
 		p.st.ConvertedAtCycle = now
 		p.armed = true
+		logf(now, "pad: allocator switched to line-segregated placement")
 	}
 	cs := p.mc.Cache()
 	lines := uint64(p.view.PageSize()) / cache.LineSize
+	before := p.st.LinesIsolated
 	for _, page := range req.Pages {
 		if p.seen[page] {
 			continue
@@ -99,6 +95,9 @@ func (p *Pad) Arm(req *detect.Request, now int64) error {
 				th.AddCost(CostResegregate)
 			}
 		}
+	}
+	if d := p.st.LinesIsolated - before; d > 0 {
+		logf(now, "pad: %d line(s) re-segregated onto private lines", d)
 	}
 	return nil
 }

@@ -12,7 +12,9 @@
 // strategy (backend.go), and the T2P/PTSB engine below is its default
 // implementation. The pad, map and tmebox backends (pad.go, mapping.go,
 // tmebox.go) repair the same detector requests through allocator
-// re-segregation, thread-and-data mapping, and fork-free keyed isolation.
+// re-segregation, thread-and-data mapping, and fork-free keyed isolation;
+// the LASER and Plastic comparison systems repair through line-granular
+// backends of their own (lines.go).
 package repair
 
 import (
@@ -26,76 +28,80 @@ import (
 	"repro/internal/sim/osim"
 )
 
-// Stats characterizes repair activity (Table 3).
-type Stats struct {
-	// RepairEvents counts detector requests acted on.
-	RepairEvents int
-	// PagesProtected counts distinct pages armed.
-	PagesProtected int
-	// FailedRepairs counts requests that could not be applied (conversion
-	// or arming errors); the simulation keeps running.
-	FailedRepairs int
-	// ConvertedAtCycle is the simulated time of thread-to-process
-	// conversion (0 if never converted).
-	ConvertedAtCycle int64
-	// T2PCycles is the per-thread conversion cost.
-	T2PCycles []int64
+// ptsbArmer is what the two PTSB backends share: one isolation address
+// space per live thread, made once, and the PTSB armed on flagged pages in
+// all of them. t2p makes the spaces by forking each thread into a process,
+// tmebox by keying a cloned view onto each thread.
+type ptsbArmer struct {
+	name      string
+	engine    *ptsb.Engine
+	converted bool
+	spaces    []*mem.AddrSpace
+	st        BackendStats
+}
+
+// Name implements Backend.
+func (a *ptsbArmer) Name() string { return a.name }
+
+// Spaces implements Backend: the per-thread isolation spaces.
+func (a *ptsbArmer) Spaces() []*mem.AddrSpace { return a.spaces }
+
+// BackendStats implements Backend.
+func (a *ptsbArmer) BackendStats() BackendStats {
+	st := a.st
+	st.Backend = a.name
+	return st
+}
+
+// arm converts on first use, counts the request, and arms the PTSB on every
+// page of pages not yet armed; listed is what the arming event names.
+func (a *ptsbArmer) arm(convert func(int64, Logf) error, pages, listed []uint64, now int64, logf Logf) error {
+	if err := convert(now, logf); err != nil {
+		return err
+	}
+	a.st.RepairEvents++
+	armed := 0
+	for _, p := range pages {
+		if a.engine.Protected(p) {
+			continue
+		}
+		if err := a.engine.Protect(p, a.spaces); err != nil {
+			a.st.FailedRepairs++
+			return fmt.Errorf("repair: %s: arming page 0x%x: %w", a.name, p, err)
+		}
+		a.st.PagesProtected++
+		armed++
+	}
+	if armed > 0 {
+		logf(now, "PTSB armed on %d page(s): %s", armed, pageList(listed))
+	}
+	return nil
 }
 
 // Engine is the monitoring process PM: the default `t2p` repair backend.
 type Engine struct {
-	os     *osim.OS
-	app    *osim.Process
-	mc     *machine.Machine
-	engine *ptsb.Engine
+	ptsbArmer
+	os  *osim.OS
+	app *osim.Process
 	// Everywhere arms the PTSB on the whole heap at the first repair
 	// (the paper's §4.3 PTSB-everywhere ablation) instead of targeting.
 	Everywhere bool
-	// heapPages enumerates all heap pages for the Everywhere ablation.
+	// HeapPages enumerates all heap pages for the Everywhere ablation and
+	// for ArmAll.
 	HeapPages func() []uint64
-
-	converted   bool
-	childSpaces []*mem.AddrSpace
-
-	Stats Stats
+	// T2PCycles is the per-thread conversion cost.
+	T2PCycles []int64
 }
 
-// New creates a repair engine for app running on mc, arming pages through e.
-func New(o *osim.OS, app *osim.Process, mc *machine.Machine, e *ptsb.Engine) *Engine {
-	return &Engine{os: o, app: app, mc: mc, engine: e}
+// New creates a repair engine for app, arming pages through e.
+func New(o *osim.OS, app *osim.Process, e *ptsb.Engine) *Engine {
+	return &Engine{ptsbArmer: ptsbArmer{name: BackendT2P, engine: e}, os: o, app: app}
 }
 
-// Name identifies the backend ("t2p").
-func (r *Engine) Name() string { return BackendT2P }
-
-// Converted reports whether threads have been made processes.
-func (r *Engine) Converted() bool { return r.converted }
-
-// Spaces returns the per-process address spaces after conversion.
-func (r *Engine) Spaces() []*mem.AddrSpace { return r.childSpaces }
-
-// Convert implements Backend: the stop-the-world T2P conversion.
-func (r *Engine) Convert(now int64) error { return r.ConvertAllNow(now) }
-
-// Arm implements Backend.
-func (r *Engine) Arm(req *detect.Request, now int64) error { return r.Handle(req, now) }
-
-// BackendStats implements Backend.
-func (r *Engine) BackendStats() BackendStats {
-	return BackendStats{
-		Backend:          BackendT2P,
-		RepairEvents:     r.Stats.RepairEvents,
-		PagesProtected:   r.Stats.PagesProtected,
-		FailedRepairs:    r.Stats.FailedRepairs,
-		ConvertedAtCycle: r.Stats.ConvertedAtCycle,
-	}
-}
-
-// ConvertAllNow performs the stop-the-world thread-to-process conversion
-// immediately (Sheriff converts at startup; TMI calls this lazily from
-// Handle). A conversion error leaves the remaining threads unconverted and
+// convert performs the stop-the-world thread-to-process conversion now,
+// once. A conversion error leaves the remaining threads unconverted and
 // the engine unarmed; the caller surfaces it as a failed repair.
-func (r *Engine) ConvertAllNow(now int64) error {
+func (r *Engine) convert(now int64, logf Logf) error {
 	if r.converted {
 		return nil
 	}
@@ -110,52 +116,52 @@ func (r *Engine) ConvertAllNow(now int64) error {
 		child, err := tracer.ConvertThreadToProcess(th)
 		if err != nil {
 			tracer.ResumeAll()
-			r.Stats.FailedRepairs++
+			r.st.FailedRepairs++
 			return fmt.Errorf("repair: t2p conversion of thread %d: %w", th.ID, err)
 		}
-		r.childSpaces = append(r.childSpaces, child.Space)
+		r.spaces = append(r.spaces, child.Space)
 	}
 	tracer.ResumeAll()
-	r.Stats.T2PCycles = tracer.T2PCycles
-	r.Stats.ConvertedAtCycle = now
+	r.T2PCycles = tracer.T2PCycles
+	r.st.ConvertedAtCycle = now
 	r.converted = true
+	us := make([]int, len(r.T2PCycles))
+	for i, v := range r.T2PMicros() {
+		us[i] = int(v)
+	}
+	logf(now, "PM: stop-the-world; %d thread(s) converted to processes (T2P %v us)", len(r.spaces), us)
 	return nil
 }
 
-// Handle services one detector request: convert on first use, then arm the
+// Arm services one detector request: convert on first use, then arm the
 // PTSB on the requested pages (or the whole heap in the Everywhere
 // ablation) in every per-process space.
-func (r *Engine) Handle(req *detect.Request, now int64) error {
+func (r *Engine) Arm(req *detect.Request, now int64, logf Logf) error {
 	if req == nil || len(req.Pages) == 0 {
 		return nil
 	}
-	if err := r.ConvertAllNow(now); err != nil {
-		return err
-	}
-	r.Stats.RepairEvents++
 	pages := req.Pages
 	if r.Everywhere && r.HeapPages != nil {
 		pages = r.HeapPages()
 	}
-	for _, p := range pages {
-		if r.engine.Protected(p) {
-			continue
-		}
-		if err := r.engine.Protect(p, r.childSpaces); err != nil {
-			r.Stats.FailedRepairs++
-			return fmt.Errorf("repair: arming page 0x%x: %w", p, err)
-		}
-		r.Stats.PagesProtected++
-	}
-	return nil
+	return r.arm(r.convert, pages, req.Pages, now, logf)
+}
+
+// ArmAll converts now and arms the PTSB on every heap page, without a
+// lifecycle trace: Sheriff's processes-from-startup, protect-everything
+// design, and the model checker's ForceProtect.
+func (r *Engine) ArmAll(now int64) error {
+	return r.arm(r.convert, r.HeapPages(), nil, now, quiet)
 }
 
 // T2PMicros converts the recorded per-thread conversion costs to
 // microseconds.
 func (r *Engine) T2PMicros() []float64 {
-	out := make([]float64, len(r.Stats.T2PCycles))
-	for i, c := range r.Stats.T2PCycles {
+	out := make([]float64, len(r.T2PCycles))
+	for i, c := range r.T2PCycles {
 		out[i] = float64(c) / (cache.ClockHz / 1e6)
 	}
 	return out
 }
+
+var _ Backend = (*Engine)(nil)

@@ -36,7 +36,7 @@ func newFixture(t *testing.T, threads int) *fixture {
 		app.Threads = append(app.Threads, th)
 	}
 	eng := ptsb.NewEngine(m, shared)
-	rep := New(o, app, mc, eng)
+	rep := New(o, app, eng)
 	mc.SetHooks(machine.Hooks{
 		OnFault: func(th *machine.Thread, acc *machine.Access, f *mem.Fault) (bool, int64) {
 			if f.Kind == mem.FaultProtWrite {
@@ -58,26 +58,26 @@ func TestConvertOnceAndProtect(t *testing.T) {
 			th.Work(50)
 			if th.ID == 0 && i == 20 && !converted {
 				converted = true
-				f.rep.Handle(req, th.Clock())
+				f.rep.Arm(req, th.Clock(), quiet)
 				// Idempotent: a second request for the same page is a no-op.
-				f.rep.Handle(req, th.Clock())
+				f.rep.Arm(req, th.Clock(), quiet)
 			}
 		}
 	}
 	if err := f.mc.Run([]func(*machine.Thread){body, body}); err != nil {
 		t.Fatal(err)
 	}
-	if !f.rep.Converted() {
+	if f.rep.BackendStats().ConvertedAtCycle == 0 {
 		t.Fatal("threads should have been converted")
 	}
 	if len(f.rep.Spaces()) != 2 {
 		t.Errorf("spaces %d, want 2", len(f.rep.Spaces()))
 	}
-	if f.rep.Stats.RepairEvents != 2 {
-		t.Errorf("repair events %d, want 2", f.rep.Stats.RepairEvents)
+	if f.rep.BackendStats().RepairEvents != 2 {
+		t.Errorf("repair events %d, want 2", f.rep.BackendStats().RepairEvents)
 	}
-	if f.rep.Stats.PagesProtected != 1 {
-		t.Errorf("pages protected %d, want 1 (second request deduped)", f.rep.Stats.PagesProtected)
+	if f.rep.BackendStats().PagesProtected != 1 {
+		t.Errorf("pages protected %d, want 1 (second request deduped)", f.rep.BackendStats().PagesProtected)
 	}
 	if len(f.rep.T2PMicros()) != 2 {
 		t.Fatalf("T2P records %d, want 2", len(f.rep.T2PMicros()))
@@ -106,7 +106,7 @@ func TestRepairEliminatesContention(t *testing.T) {
 				th.Work(60)
 				if th.ID == 0 && i == repairAt {
 					before = f.mc.Cache().Stats().HITM
-					f.rep.Handle(&detect.Request{Pages: []uint64{heapBase}}, th.Clock())
+					f.rep.Arm(&detect.Request{Pages: []uint64{heapBase}}, th.Clock(), quiet)
 				}
 			}
 		}
@@ -129,9 +129,9 @@ func TestRepairEliminatesContention(t *testing.T) {
 
 func TestHandleNilRequestIsNoOp(t *testing.T) {
 	f := newFixture(t, 1)
-	f.rep.Handle(nil, 0)
-	f.rep.Handle(&detect.Request{}, 0)
-	if f.rep.Converted() || f.rep.Stats.RepairEvents != 0 {
+	f.rep.Arm(nil, 0, quiet)
+	f.rep.Arm(&detect.Request{}, 0, quiet)
+	if len(f.rep.Spaces()) != 0 || f.rep.BackendStats().RepairEvents != 0 {
 		t.Error("empty requests must not convert or count")
 	}
 }
@@ -144,14 +144,14 @@ func TestEverywhereProtectsWholeHeap(t *testing.T) {
 	}
 	body := func(th *machine.Thread) {
 		th.Work(10)
-		f.rep.Handle(&detect.Request{Pages: []uint64{heapBase}}, th.Clock())
+		f.rep.Arm(&detect.Request{Pages: []uint64{heapBase}}, th.Clock(), quiet)
 		th.Store(1, heapBase+4096+8, 8, 1) // a page the detector never named
 	}
 	if err := f.mc.Run([]func(*machine.Thread){body}); err != nil {
 		t.Fatal(err)
 	}
-	if f.rep.Stats.PagesProtected != 3 {
-		t.Errorf("pages protected %d, want all 3", f.rep.Stats.PagesProtected)
+	if f.rep.BackendStats().PagesProtected != 3 {
+		t.Errorf("pages protected %d, want all 3", f.rep.BackendStats().PagesProtected)
 	}
 	if f.eng.Stats.TwinFaults != 1 {
 		t.Error("write to an everywhere-protected page should twin-fault")
@@ -164,7 +164,7 @@ func TestFinishedThreadsAreSkipped(t *testing.T) {
 		func(th *machine.Thread) { th.Work(10) }, // finishes immediately
 		func(th *machine.Thread) {
 			th.Work(50_000)
-			f.rep.Handle(&detect.Request{Pages: []uint64{heapBase}}, th.Clock())
+			f.rep.Arm(&detect.Request{Pages: []uint64{heapBase}}, th.Clock(), quiet)
 			th.Store(1, heapBase, 8, 9)
 		},
 	})

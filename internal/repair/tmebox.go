@@ -1,12 +1,9 @@
 package repair
 
 import (
-	"fmt"
-
 	"repro/internal/detect"
 	"repro/internal/ptsb"
 	"repro/internal/sim/machine"
-	"repro/internal/sim/mem"
 	"repro/internal/sim/osim"
 )
 
@@ -24,42 +21,21 @@ const CostKeyProgram = 1800
 // the existing PTSB twin/diff/merge core, driven through per-thread
 // cloned views instead of forked child processes.
 type TMEBox struct {
-	app    *osim.Process
-	mc     *machine.Machine
-	engine *ptsb.Engine
-
-	converted bool
-	spaces    []*mem.AddrSpace
-	st        BackendStats
+	ptsbArmer
+	app *osim.Process
 }
 
 // NewTMEBox creates the keyed-isolation backend for app, arming pages
 // through e.
-func NewTMEBox(app *osim.Process, mc *machine.Machine, e *ptsb.Engine) *TMEBox {
-	return &TMEBox{app: app, mc: mc, engine: e}
+func NewTMEBox(app *osim.Process, e *ptsb.Engine) *TMEBox {
+	return &TMEBox{ptsbArmer: ptsbArmer{name: BackendTMEBox, engine: e}, app: app}
 }
 
-// Name implements Backend.
-func (b *TMEBox) Name() string { return BackendTMEBox }
-
-// Converted implements Backend.
-func (b *TMEBox) Converted() bool { return b.converted }
-
-// Spaces implements Backend: the per-thread keyed views.
-func (b *TMEBox) Spaces() []*mem.AddrSpace { return b.spaces }
-
-// BackendStats implements Backend.
-func (b *TMEBox) BackendStats() BackendStats {
-	st := b.st
-	st.Backend = BackendTMEBox
-	return st
-}
-
-// Convert keys an isolation domain onto every live thread: each gets a
-// cloned view of the process space (shared mappings stay shared, so
+// convert keys an isolation domain onto every live thread, once: each gets
+// a cloned view of the process space (shared mappings stay shared, so
 // unprotected memory behaves exactly as before) and pays the key-program
 // cost. The threads stay threads — no fork, no process table change.
-func (b *TMEBox) Convert(now int64) error {
+func (b *TMEBox) convert(now int64, logf Logf) error {
 	if b.converted {
 		return nil
 	}
@@ -74,30 +50,17 @@ func (b *TMEBox) Convert(now int64) error {
 	}
 	b.st.ConvertedAtCycle = now
 	b.converted = true
+	logf(now, "tmebox: %d isolation domain(s) keyed in-process (no fork)", len(b.spaces))
 	return nil
 }
 
 // Arm services one detector request: key the domains on first use, then
 // arm the PTSB on the requested pages in every per-thread view.
-func (b *TMEBox) Arm(req *detect.Request, now int64) error {
+func (b *TMEBox) Arm(req *detect.Request, now int64, logf Logf) error {
 	if req == nil || len(req.Pages) == 0 {
 		return nil
 	}
-	if err := b.Convert(now); err != nil {
-		return err
-	}
-	b.st.RepairEvents++
-	for _, p := range req.Pages {
-		if b.engine.Protected(p) {
-			continue
-		}
-		if err := b.engine.Protect(p, b.spaces); err != nil {
-			b.st.FailedRepairs++
-			return fmt.Errorf("repair: tmebox: arming page 0x%x: %w", p, err)
-		}
-		b.st.PagesProtected++
-	}
-	return nil
+	return b.arm(b.convert, req.Pages, req.Pages, now, logf)
 }
 
 var _ Backend = (*TMEBox)(nil)

@@ -1,7 +1,6 @@
 package toolio
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -83,11 +82,7 @@ func (r *BenchReport) Add(e BenchExperiment) {
 }
 
 // Write emits the report as indented JSON.
-func (r *BenchReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *BenchReport) Write(w io.Writer) error { return writeDoc(w, r) }
 
 // BenchFileName names the trajectory file for a YYYY-MM-DD date.
 func BenchFileName(date string) string {
@@ -128,17 +123,12 @@ func LatestBenchFileName(date string, exists func(string) bool) string {
 // ReadBenchReport parses a trajectory document (for tests and trajectory
 // diff tooling).
 func ReadBenchReport(rd io.Reader) (*BenchReport, error) {
-	var r BenchReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	r, err := readDoc(rd, "trajectory", func(r *BenchReport) *int { return &r.Version })
+	if err != nil {
 		return nil, err
 	}
 	if r.Tool != "tmibench" {
 		return nil, fmt.Errorf("toolio: not a tmibench trajectory (tool %q)", r.Tool)
 	}
-	v, err := checkVersion("trajectory", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
-	return &r, nil
+	return r, nil
 }

@@ -6,10 +6,17 @@ import (
 	"testing"
 )
 
-func TestBenchReportRoundTrip(t *testing.T) {
+// sampleBenchReport is a two-experiment trajectory point (also a
+// FuzzReadReports seed).
+func sampleBenchReport() *BenchReport {
 	r := NewBenchReport("2026-08-05", 8, 3, 1)
 	r.Add(BenchExperiment{ID: "fig9", WallSeconds: 2, Cells: 90, BusySeconds: 8, Speedup: 4, SimSeconds: 0.5, RecordsSeen: 1000, Repairs: 9})
 	r.Add(BenchExperiment{ID: "fig7", WallSeconds: 4, Cells: 420, BusySeconds: 12, Speedup: 3, SimSeconds: 1.5, RecordsSeen: 4000})
+	return r
+}
+
+func TestBenchReportRoundTrip(t *testing.T) {
+	r := sampleBenchReport()
 
 	if r.WallSeconds != 6 {
 		t.Errorf("WallSeconds = %v, want 6", r.WallSeconds)

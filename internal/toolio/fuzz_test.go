@@ -3,6 +3,7 @@ package toolio
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 )
 
@@ -103,4 +104,65 @@ func FuzzHello(f *testing.F) {
 			t.Fatalf("accepted page size %d", ps)
 		}
 	})
+}
+
+// FuzzReadReports feeds arbitrary bytes to the four report readers (the
+// checker, suggest, vet and benchmark-trajectory documents CI and tmimc
+// -apply read back from disk). Properties: no panic; an accepted document's
+// version lies in [1, SchemaVersion]; and an accepted document, written and
+// read back, is the same document (it writes the same bytes again).
+func FuzzReadReports(f *testing.F) {
+	r := NewReport("tmilint")
+	r.Add(Finding{Workload: "histogramfs", Rule: "region-balance", Detail: "unbalanced"})
+	r.AddStat("runs", 3)
+	// Compact seeds: the fuzzer minimizes every new interesting input, and
+	// indented documents make that crawl.
+	for _, doc := range []any{r, sampleSuggestReport(), sampleVetReport(), sampleBenchReport()} {
+		b, err := json.Marshal(doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, doc := range []string{
+		`{"tool":"tmimc","ok":true,"findings":[]}`,
+		`{"version":99,"tool":"tmivet","ok":true}`,
+		`{"version":-1,"tool":"tmibench"}`,
+		`{"tool":"tmilint"}`,
+		`{"tool":"tmilint","workload":"w","clean":true,"repairs":[]}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkDoc(t, in, ReadReport, func(r *Report) int { return r.Version }, (*Report).Write)
+		checkDoc(t, in, ReadSuggestReport, func(r *SuggestReport) int { return r.Version }, (*SuggestReport).Write)
+		checkDoc(t, in, ReadVetReport, func(r *VetReport) int { return r.Version }, (*VetReport).Write)
+		checkDoc(t, in, ReadBenchReport, func(r *BenchReport) int { return r.Version }, (*BenchReport).Write)
+	})
+}
+
+// checkDoc asserts FuzzReadReports' properties for one reader.
+func checkDoc[T any](t *testing.T, in []byte, read func(io.Reader) (*T, error), version func(*T) int, write func(*T, io.Writer) error) {
+	t.Helper()
+	doc, err := read(bytes.NewReader(in))
+	if err != nil {
+		return
+	}
+	if v := version(doc); v < 1 || v > SchemaVersion {
+		t.Fatalf("%T: accepted version %d", doc, v)
+	}
+	var first, second bytes.Buffer
+	if err := write(doc, &first); err != nil {
+		t.Fatalf("%T: write: %v", doc, err)
+	}
+	back, err := read(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("%T: re-read of a written document: %v\n%s", doc, err, first.Bytes())
+	}
+	if err := write(back, &second); err != nil {
+		t.Fatalf("%T: re-write: %v", doc, err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("%T: document changed across write and read:\n%s\n%s", doc, first.Bytes(), second.Bytes())
+	}
 }

@@ -6,13 +6,20 @@ import (
 	"testing"
 )
 
-func TestSuggestReportRoundTrip(t *testing.T) {
+// sampleSuggestReport is a clean two-repair suggest report (also a
+// FuzzReadReports seed).
+func sampleSuggestReport() *SuggestReport {
 	rep := NewSuggestReport("tmilint", "litmus-brokenfence")
 	rep.Clean = true
 	rep.Repairs = append(rep.Repairs,
 		SuggestRepair{Site: "brokenfence.load_flag", Kind: "atomic", Order: "acquire", Reason: "delay"},
 		SuggestRepair{Site: "brokenfence.store_flag", Kind: "atomic", Order: "release"},
 	)
+	return rep
+}
+
+func TestSuggestReportRoundTrip(t *testing.T) {
+	rep := sampleSuggestReport()
 	var buf bytes.Buffer
 	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)

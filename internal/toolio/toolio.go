@@ -40,6 +40,30 @@ func checkVersion(kind string, v int) (int, error) {
 	return v, nil
 }
 
+// readDoc decodes one document from rd and normalizes its version field
+// (version returns a pointer to it): pre-versioning documents read as
+// version 1, newer and negative ones are refused. Every report reader is
+// this plus its own checks.
+func readDoc[T any](rd io.Reader, kind string, version func(*T) *int) (*T, error) {
+	var r T
+	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+		return nil, err
+	}
+	v, err := checkVersion(kind, *version(&r))
+	if err != nil {
+		return nil, err
+	}
+	*version(&r) = v
+	return &r, nil
+}
+
+// writeDoc emits a report document as indented JSON.
+func writeDoc(w io.Writer, doc any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
+}
+
 // Finding is one diagnostic from any checker. Rule is the stable,
 // tool-scoped identifier CI filters on (tmilint: the verifier rule names;
 // tmimc: "sc-divergence", "data-race", "validation", "incomplete").
@@ -73,16 +97,7 @@ func NewReport(tool string) *Report {
 // ReadReport parses a checker report, normalizing pre-versioning documents
 // and rejecting ones newer than this tool understands.
 func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	v, err := checkVersion("report", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
-	return &r, nil
+	return readDoc(rd, "report", func(r *Report) *int { return &r.Version })
 }
 
 // SuggestRepair is one proposed source-level repair in the suggest schema:
@@ -124,24 +139,11 @@ func NewSuggestReport(tool, workload string) *SuggestReport {
 // ReadSuggestReport parses a suggest report, normalizing pre-versioning
 // documents and rejecting ones newer than this tool understands.
 func ReadSuggestReport(rd io.Reader) (*SuggestReport, error) {
-	var r SuggestReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	v, err := checkVersion("suggest report", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
-	return &r, nil
+	return readDoc(rd, "suggest report", func(r *SuggestReport) *int { return &r.Version })
 }
 
 // Write emits the suggest report as indented JSON.
-func (r *SuggestReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *SuggestReport) Write(w io.Writer) error { return writeDoc(w, r) }
 
 // Add appends a finding (stamping the tool name) and flips the verdict.
 func (r *Report) Add(f Finding) {
@@ -154,8 +156,4 @@ func (r *Report) Add(f Finding) {
 func (r *Report) AddStat(key string, v float64) { r.Stats[key] = v }
 
 // Write emits the report as indented JSON.
-func (r *Report) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *Report) Write(w io.Writer) error { return writeDoc(w, r) }

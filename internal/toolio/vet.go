@@ -7,7 +7,6 @@ package toolio
 // and future-version rejection as the checker Report.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -93,25 +92,12 @@ func (r *VetReport) Add(f VetFinding) {
 func (r *VetReport) AddStat(key string, v float64) { r.Stats[key] = v }
 
 // Write emits the report as indented JSON.
-func (r *VetReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+func (r *VetReport) Write(w io.Writer) error { return writeDoc(w, r) }
 
 // ReadVetReport parses a tmivet report, normalizing pre-versioning
 // documents and rejecting ones newer than this tool understands.
 func ReadVetReport(rd io.Reader) (*VetReport, error) {
-	var r VetReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	v, err := checkVersion("vet report", r.Version)
-	if err != nil {
-		return nil, err
-	}
-	r.Version = v
-	return &r, nil
+	return readDoc(rd, "vet report", func(r *VetReport) *int { return &r.Version })
 }
 
 // Grade validates a confirmation grade string.

@@ -7,7 +7,9 @@ import (
 	"testing"
 )
 
-func TestVetReportRoundTrip(t *testing.T) {
+// sampleVetReport is a tmivet report with a confirmed, repaired finding
+// and a waived one (also a FuzzReadReports seed).
+func sampleVetReport() *VetReport {
 	r := NewVetReport("tmivet")
 	r.Add(VetFinding{
 		ID: "testdata/srcvet/packed:Packed:line0", Pkg: "testdata/srcvet/packed",
@@ -25,7 +27,11 @@ func TestVetReportRoundTrip(t *testing.T) {
 		Confirmation: ConfirmSkipped, Waived: true,
 	})
 	r.AddStat("packages", 2)
+	return r
+}
 
+func TestVetReportRoundTrip(t *testing.T) {
+	r := sampleVetReport()
 	if r.OK {
 		t.Fatalf("report with an unwaived finding must not be OK")
 	}

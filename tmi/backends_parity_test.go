@@ -1,6 +1,7 @@
 package tmi_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/tmi"
@@ -93,13 +94,20 @@ func TestBackendParity(t *testing.T) {
 	}
 }
 
-// TestBackendRejectsUnknown pins the config validation error.
+// TestBackendRejectsUnknown pins the config validation errors: an unknown
+// backend name, and a backend given to a system that repairs its own way
+// (or not at all) instead of being silently ignored.
 func TestBackendRejectsUnknown(t *testing.T) {
 	w, err := workloads.ByName("histogramfs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tmi.Run(w, tmi.Config{System: tmi.TMIProtect, RepairBackend: "voodoo"}); err == nil {
-		t.Fatal("unknown backend accepted")
+	for _, cfg := range []tmi.Config{
+		{System: tmi.TMIProtect, RepairBackend: "voodoo"},
+		{System: tmi.LASER, RepairBackend: "pad"},
+	} {
+		if _, err := tmi.Run(w, cfg); !errors.Is(err, tmi.ErrConfig) {
+			t.Errorf("%v with backend %q: err %v, want tmi.ErrConfig", cfg.System, cfg.RepairBackend, err)
+		}
 	}
 }

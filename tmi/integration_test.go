@@ -217,22 +217,33 @@ func TestPTSBEverywhereAblation(t *testing.T) {
 	}
 }
 
-func TestLASERRepairsWithoutConversion(t *testing.T) {
-	rep := run(t, "histogramfs", tmi.Config{System: tmi.LASER})
+// lineRepair checks a line-granular comparison system's report: repaired
+// through its own backend at the first detection, never converting threads,
+// and capturing less benefit than TMI.
+func lineRepair(t *testing.T, sys tmi.System, backend string) {
+	t.Helper()
+	rep := run(t, "histogramfs", tmi.Config{System: sys})
 	if !rep.Repaired {
-		t.Fatal("LASER should engage its store buffer")
+		t.Fatalf("%v should engage its repair", sys)
+	}
+	if rep.RepairBackend != backend || rep.RepairAtSec <= 0 {
+		t.Errorf("%v: repaired by %q at %g s, want %q at the first detection", sys, rep.RepairBackend, rep.RepairAtSec, backend)
 	}
 	if len(rep.T2PMicros) != 0 {
-		t.Error("LASER never converts threads to processes")
+		t.Errorf("%v never converts threads to processes", sys)
 	}
 	base := run(t, "histogramfs", tmi.Config{System: tmi.Pthreads})
 	prot := run(t, "histogramfs", tmi.Config{System: tmi.TMIProtect})
 	lx := tmi.Speedup(base, rep)
 	tx := tmi.Speedup(base, prot)
 	if lx >= tx {
-		t.Errorf("LASER (%.2fx) should capture less benefit than TMI (%.2fx)", lx, tx)
+		t.Errorf("%v (%.2fx) should capture less benefit than TMI (%.2fx)", sys, lx, tx)
 	}
 }
+
+func TestLASERRepairsWithoutConversion(t *testing.T) { lineRepair(t, tmi.LASER, "laser") }
+
+func TestPlasticRepairsWithoutConversion(t *testing.T) { lineRepair(t, tmi.Plastic, "plastic") }
 
 func TestLASERKeepsRepairOffForSyncHeavy(t *testing.T) {
 	rep := run(t, "spinlockpool", tmi.Config{System: tmi.LASER})

@@ -1,8 +1,8 @@
 // Package tmi is the public API of the TMI reproduction: it runs workloads
 // (package tmi/workload) on the simulated multicore under a chosen system —
 // the pthreads baseline, TMI in its alloc/detect/protect modes, or the
-// Sheriff and LASER comparison systems — and reports runtime, detection and
-// repair results.
+// Sheriff, LASER and Plastic comparison systems — and reports runtime,
+// detection and repair results.
 //
 // Quick start:
 //
@@ -18,56 +18,32 @@ import (
 	"repro/tmi/workload"
 )
 
-// System selects which runtime supervises the workload.
-type System int
+// System selects which runtime supervises the workload; String names it
+// as in the paper's figures.
+type System = core.Setup
 
 // Systems.
 const (
 	// Pthreads is the unmonitored baseline (Lockless-style allocator).
-	Pthreads System = iota
+	Pthreads = core.Pthreads
 	// TMIAlloc redirects allocations into TMI's process-shared memory and
 	// replaces synchronization with process-shared objects.
-	TMIAlloc
+	TMIAlloc = core.TMIAlloc
 	// TMIDetect adds HITM sampling and the false-sharing detection thread.
-	TMIDetect
+	TMIDetect = core.TMIDetect
 	// TMIProtect is full TMI: detection plus online repair.
-	TMIProtect
+	TMIProtect = core.TMIProtect
 	// SheriffDetect and SheriffProtect model Sheriff's threads-as-processes
 	// design (no code-centric consistency).
-	SheriffDetect
-	SheriffProtect
+	SheriffDetect  = core.SheriffDetect
+	SheriffProtect = core.SheriffProtect
 	// LASER detects like TMI and repairs with a TSO-preserving software
 	// store buffer.
-	LASER
+	LASER = core.LASER
 	// Plastic models the EuroSys'13 system: whole-program dynamic binary
 	// instrumentation plus byte-granularity remapping of contended lines.
-	Plastic
+	Plastic = core.Plastic
 )
-
-// String names the system as in the paper's figures.
-func (s System) String() string { return s.core().String() }
-
-func (s System) core() core.Setup {
-	switch s {
-	case Pthreads:
-		return core.Pthreads
-	case TMIAlloc:
-		return core.TMIAlloc
-	case TMIDetect:
-		return core.TMIDetect
-	case TMIProtect:
-		return core.TMIProtect
-	case SheriffDetect:
-		return core.SheriffDetect
-	case SheriffProtect:
-		return core.SheriffProtect
-	case LASER:
-		return core.LASER
-	case Plastic:
-		return core.Plastic
-	}
-	panic("tmi: unknown system")
-}
 
 // Config controls a run. The zero value runs the pthreads baseline with the
 // paper's defaults (period 100, 4 KiB pages, CCC on, 100k events/s repair
@@ -89,7 +65,8 @@ type Config struct {
 	// or "t2p" (the paper's thread-to-process conversion + PTSB), "pad"
 	// (allocator re-segregation onto private lines), "map" (thread-and-
 	// data mapping toward the hot page's home node), or "tmebox"
-	// (fork-free keyed in-process isolation).
+	// (fork-free keyed in-process isolation). Other systems refuse a
+	// non-empty value with an error wrapping ErrConfig.
 	RepairBackend string
 	// Sockets splits the simulated cores across that many sockets with a
 	// home-node directory and remote-socket latency penalties. 0 or 1
@@ -136,6 +113,10 @@ const DefaultDetectInterval = 0.0001
 // internal/core; the aliases here are the public stable surface.
 type Report = core.Report
 
+// ErrConfig wraps the error Run returns for a Config that is wrong
+// whatever the workload (see Config.RepairBackend).
+var ErrConfig = core.ErrConfig
+
 // ErrIncompatible reports a system that cannot run a workload (Sheriff on
 // most of the suite).
 type ErrIncompatible = core.ErrIncompatible
@@ -143,7 +124,7 @@ type ErrIncompatible = core.ErrIncompatible
 // Run executes w under cfg.
 func Run(w workload.Workload, cfg Config) (*Report, error) {
 	c := core.Config{
-		Setup:                 cfg.System.core(),
+		Setup:                 cfg.System,
 		Threads:               cfg.Threads,
 		Period:                cfg.Period,
 		HugePages:             cfg.HugePages,
